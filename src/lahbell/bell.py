@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Union
 
 from .exact_core import IntegralityError, exact_div, factorial, rlah
 from .partitions import enumerate_lambda, enumerate_pi
-from .poly import ONE, PolyAccumulator, SparsePolynomial, as_poly, const, var, Variable
+from .poly import ONE, PolyAccumulator, SparsePolynomial, Variable, as_poly, const, indexed_var
 
 __all__ = [
     "SequenceSpec",
@@ -93,7 +93,7 @@ class SequenceSpec:
                 )
             return const(self.values[i - 1])
         if self.kind == "symbolic":
-            return var(Variable(self.family, i))
+            return indexed_var(self.family, i)
         assert self.fill is not None
         return self.fill
 

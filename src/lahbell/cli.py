@@ -2,7 +2,9 @@
 
 Commands print their payload to stdout; diagnostics go to stderr.  Exit
 status is 0 on success, 1 when a verification suite reports a failed
-identity, and 2 on usage errors.  Output is deterministic: identical
+identity, and 2 on usage errors, which include inputs the library refuses
+while computing (a ValueError or IntegralityError, such as an explicit
+sequence that is too short).  Output is deterministic: identical
 invocations produce byte-identical output.
 """
 
@@ -25,7 +27,7 @@ from .bell import (
     incomplete_r_lah_bell,
     lah_bell_polynomial,
 )
-from .exact_core import lah, lah_bell_number, r_lah_bell_number, rlah
+from .exact_core import IntegralityError, lah, lah_bell_number, r_lah_bell_number, rlah
 from .poly import SCALAR_X, SparsePolynomial, var
 from .verify import SUITE_NAMES, run_suites
 
@@ -112,7 +114,7 @@ def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, names: S
             parser.error(f"--{name.replace('_', '-')} must be nonnegative")
 
 
-def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     needs_r = args.family in ("rlah", "r-lah-bell")
     _require(parser, args, ["r"] if needs_r else [])
     if not needs_r and args.r is not None:
@@ -146,11 +148,10 @@ def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             "query": query,
             "values": [r_lah_bell_number(n, args.r) for n in range(args.n_max + 1)],
         }
-    sys.stdout.write(_render(parser, record, args.format))
-    return 0
+    return record
 
 
-def _cmd_value(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_value(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     family = args.family
     required = {
         "lah": ["k"],
@@ -173,12 +174,10 @@ def _cmd_value(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         result = r_lah_bell_number(args.n, args.r)
     else:
         result = lah_bell_polynomial(args.n, args.r, args.x).as_int()
-    record = {"kind": "number", "query": query, "value": result}
-    sys.stdout.write(_render(parser, record, args.format))
-    return 0
+    return {"kind": "number", "query": query, "value": result}
 
 
-def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     family = args.family
     required = {
         "complete-bell": [],
@@ -233,21 +232,16 @@ def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 query["x"] = args.x
             result = complete_r_lah_bell(args.n, args.r, x, seq_a, seq_b)
 
-    record = {"kind": "polynomial", "query": query, "poly": result}
-    sys.stdout.write(_render(parser, record, args.format))
-    return 0
+    return {"kind": "polynomial", "query": query, "poly": result}
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     _require(parser, args, [])
-    results = run_suites(args.suite, args.n_max, args.r_max)
-    record = {
+    return {
         "kind": "verdict",
         "query": {"suite": args.suite, "n_max": args.n_max, "r_max": args.r_max},
-        "results": results,
+        "results": run_suites(args.suite, args.n_max, args.r_max),
     }
-    sys.stdout.write(_render(parser, record, args.format))
-    return 0 if all(item.passed for item in results) else 1
 
 
 def _render(parser: argparse.ArgumentParser, record: dict, fmt: str) -> str:
@@ -322,17 +316,24 @@ def _render_json(record: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "value": _cmd_value, "verify": _cmd_verify}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "table":
-            return _cmd_table(parser, args)
-        if args.command == "poly":
-            return _cmd_poly(parser, args)
-        if args.command == "value":
-            return _cmd_value(parser, args)
-        return _cmd_verify(parser, args)
+        try:
+            record = _COMMANDS[args.command](parser, args)
+        except (ValueError, IntegralityError) as exc:
+            # Only the computation is guarded: an error while rendering is
+            # not a refused input.  The usage text would not help here, so
+            # this is parser.error's message and exit status alone.
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        sys.stdout.write(_render(parser, record, args.format))
+        if record["kind"] == "verdict":
+            return 0 if all(item.passed for item in record["results"]) else 1
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

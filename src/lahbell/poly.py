@@ -7,6 +7,19 @@ monomials to nonzero integer coefficients.  Values are immutable and every
 operation returns a canonical result: no zero coefficients, no zero
 exponents, variables ordered family-first then index.
 
+Inside a Monomial each variable is an int code, rank << 40 | index, where
+rank is the family's place in the order x, a, b, y, scalar.  Indices stay
+below 2**40, so ordering codes as ints orders variables exactly as
+Variable.sort_key does.  A monomial stores a tuple of (code, exponent)
+pairs sorted by code, and a product is a single merge of two such tuples;
+only the public Monomial constructor validates and sorts.  Codes turn back
+into variables only at the API edge: pairs, variables(), exponent(),
+sort_key() and the renderings.  var() hands out one shared polynomial per
+variable, which is safe because polynomials are never mutated.
+
+Polynomials hash consistently with equality, including equality with an
+int: hash(const(c)) == hash(c).
+
 Text and JSON renderings list terms in descending graded lexicographic
 order, so equal polynomials always render identically.
 """
@@ -28,12 +41,16 @@ __all__ = [
     "ONE",
     "const",
     "var",
+    "indexed_var",
     "term",
     "as_poly",
 ]
 
 _FAMILY_RANK = {"x": 0, "a": 1, "b": 2, "y": 3, "scalar": 4}
 _INDEXED_FAMILIES = ("x", "a", "b", "y")
+_RANK_SHIFT = 40
+_INDEX_LIMIT = 1 << _RANK_SHIFT
+_INDEX_MASK = _INDEX_LIMIT - 1
 
 
 @dataclass(frozen=True)
@@ -51,10 +68,17 @@ class Variable:
                 raise ValueError("the scalar indeterminate carries no index")
         elif self.index < 1:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
+        elif self.index >= _INDEX_LIMIT:
+            raise ValueError(f"variable index must be below 2**{_RANK_SHIFT}, got {self.index}")
 
     @property
     def sort_key(self) -> tuple[int, int]:
         return (_FAMILY_RANK[self.family], self.index)
+
+    @property
+    def code(self) -> int:
+        """The int that stands for this variable inside a Monomial."""
+        return _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index
 
     @property
     def name(self) -> str:
@@ -73,6 +97,50 @@ class Variable:
 
 SCALAR_X = Variable("scalar")
 
+# code -> Variable for every variable that has entered a monomial, so codes
+# can be turned back into variables; one entry per distinct variable.
+_VARIABLES: dict[int, Variable] = {}
+
+
+def _code(v: Variable) -> int:
+    code = v.code
+    if code not in _VARIABLES:
+        _VARIABLES[code] = v
+    return code
+
+
+def _merge(p: tuple, q: tuple) -> tuple:
+    """Product of two code-sorted pair tuples: one merge, adding exponents."""
+    if not p:
+        return q
+    if not q:
+        return p
+    out = []
+    i = j = 0
+    cp, cq = p[0][0], q[0][0]
+    while True:
+        if cp < cq:
+            out.append(p[i])
+            i += 1
+            if i == len(p):
+                return (*out, *q[j:])
+            cp = p[i][0]
+        elif cq < cp:
+            out.append(q[j])
+            j += 1
+            if j == len(q):
+                return (*out, *p[i:])
+            cq = q[j][0]
+        else:
+            out.append((cp, p[i][1] + q[j][1]))
+            i += 1
+            j += 1
+            if i == len(p):
+                return (*out, *q[j:])
+            if j == len(q):
+                return (*out, *p[i:])
+            cp, cq = p[i][0], q[j][0]
+
 
 class Monomial:
     """A finite product of variable powers; the empty product is the unit."""
@@ -89,14 +157,22 @@ class Monomial:
                 raise TypeError(f"monomial keys must be Variable, got {type(v).__name__}")
             if e < 0:
                 raise ValueError(f"negative exponent for {v.name}")
-        self._pairs: tuple[tuple[Variable, int], ...] = tuple(
-            sorted(((v, e) for v, e in items.items() if e), key=lambda p: p[0].sort_key)
+        self._pairs: tuple[tuple[int, int], ...] = tuple(
+            sorted((_code(v), e) for v, e in items.items() if e)
         )
         self._hash = hash(self._pairs)
 
+    @classmethod
+    def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "Monomial":
+        """Wrap code-sorted pairs with positive exponents, unchecked."""
+        obj = object.__new__(cls)
+        obj._pairs = pairs
+        obj._hash = hash(pairs)
+        return obj
+
     @property
     def pairs(self) -> tuple[tuple[Variable, int], ...]:
-        return self._pairs
+        return tuple((_VARIABLES[c], e) for c, e in self._pairs)
 
     @property
     def degree(self) -> int:
@@ -107,26 +183,30 @@ class Monomial:
         return not self._pairs
 
     def exponent(self, v: Variable) -> int:
-        for w, e in self._pairs:
-            if w == v:
+        code = v.code
+        for c, e in self._pairs:
+            if c == code:
                 return e
         return 0
 
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self._pairs)
+        return tuple(_VARIABLES[c] for c, _ in self._pairs)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        merged = {v: e for v, e in self._pairs}
-        for v, e in other._pairs:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
+        if not other._pairs:
+            return self
+        if not self._pairs:
+            return other
+        return Monomial._raw(_merge(self._pairs, other._pairs))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return Monomial({v: e * k for v, e in self._pairs})
+        if k == 0:
+            return _UNIT
+        return Monomial._raw(tuple((c, e * k) for c, e in self._pairs))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._pairs == other._pairs
@@ -138,13 +218,16 @@ class Monomial:
         """Ascending sort by this key lists monomials in descending graded lex."""
         return (
             -self.degree,
-            tuple((rank, idx, -e) for (rank, idx), e in ((v.sort_key, e) for v, e in self._pairs)),
+            tuple((c >> _RANK_SHIFT, c & _INDEX_MASK, -e) for c, e in self._pairs),
         )
 
     def __str__(self) -> str:
         if not self._pairs:
             return "1"
-        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self._pairs)
+        return "*".join(
+            _VARIABLES[c].name if e == 1 else f"{_VARIABLES[c].name}^{e}"
+            for c, e in self._pairs
+        )
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)!r})"
@@ -203,8 +286,8 @@ class SparsePolynomial:
     def variables(self) -> list[Variable]:
         seen = set()
         for mono in self._terms:
-            seen.update(mono.variables())
-        return sorted(seen, key=lambda v: v.sort_key)
+            seen.update(c for c, _ in mono._pairs)
+        return [_VARIABLES[c] for c in sorted(seen)]
 
     def as_int(self) -> int:
         """The value of a constant polynomial; error if any variable remains."""
@@ -243,10 +326,16 @@ class SparsePolynomial:
             return SparsePolynomial._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            ((m1, c1),) = self._terms.items()
+            ((m2, c2),) = other._terms.items()
+            return SparsePolynomial._raw({m1 * m2: c1 * c2})
         data: dict[Monomial, int] = {}
+        right = [(m._pairs, c) for m, c in other._terms.items()]
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2
+            p1 = m1._pairs
+            for p2, c2 in right:
+                mono = Monomial._raw(_merge(p1, p2))
                 total = data.get(mono, 0) + c1 * c2
                 if total:
                     data[mono] = total
@@ -261,6 +350,8 @@ class SparsePolynomial:
             raise ValueError("polynomial exponent must be nonnegative")
         if k == 0:
             return ONE
+        if k == 1:
+            return self
         if len(self._terms) == 1:
             ((mono, coeff),) = self._terms.items()
             return SparsePolynomial._raw({mono**k: coeff**k})
@@ -279,18 +370,18 @@ class SparsePolynomial:
         self, mapping: Mapping[Variable, Union["SparsePolynomial", int]]
     ) -> "SparsePolynomial":
         """Replace every mapped variable by its polynomial value, in one pass."""
-        values = {v: as_poly(p) for v, p in mapping.items()}
+        values = {v.code: as_poly(p) for v, p in mapping.items()}
         acc = PolyAccumulator()
         for mono, coeff in self._terms.items():
-            residual: dict[Variable, int] = {}
+            residual = []
             piece = ONE
-            for v, e in mono.pairs:
-                if v in values:
-                    piece = piece * values[v] ** e
+            for c, e in mono._pairs:
+                if c in values:
+                    piece = piece * values[c] ** e
                 else:
-                    residual[v] = e
+                    residual.append((c, e))
             if residual:
-                piece = piece * SparsePolynomial._raw({Monomial(residual): 1})
+                piece = piece * SparsePolynomial._raw({Monomial._raw(tuple(residual)): 1})
             acc.add(piece, coeff)
         return acc.build()
 
@@ -302,14 +393,16 @@ class SparsePolynomial:
 
     def evaluate(self, assignment: Mapping[Variable, int]) -> int:
         """Evaluate at integer values; every variable present must be covered."""
+        values = {}
         for v in self.variables():
             if v not in assignment:
                 raise ValueError(f"no value provided for variable {v.name}")
+            values[v.code] = assignment[v]
         total = 0
         for mono, coeff in self._terms.items():
             product = coeff
-            for v, e in mono.pairs:
-                product *= assignment[v] ** e
+            for c, e in mono._pairs:
+                product *= values[c] ** e
             total += product
         return total
 
@@ -319,6 +412,15 @@ class SparsePolynomial:
         if isinstance(other, SparsePolynomial):
             return self._terms == other._terms
         return NotImplemented
+
+    def __hash__(self) -> int:
+        # Equal to an int means constant, so hash as that int does.
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and _UNIT in terms:
+            return hash(terms[_UNIT])
+        return hash(frozenset(terms.items()))
 
     def to_text(self) -> str:
         """Canonical human-readable form, '0' for the zero polynomial."""
@@ -345,7 +447,7 @@ class SparsePolynomial:
             "terms": [
                 {
                     "coeff": str(coeff),
-                    "monomial": {v.name: e for v, e in mono.pairs},
+                    "monomial": {_VARIABLES[c].name: e for c, e in mono._pairs},
                 }
                 for mono, coeff in self.terms()
             ]
@@ -400,11 +502,30 @@ def const(value: int) -> SparsePolynomial:
     return SparsePolynomial._raw({_UNIT: value})
 
 
+# code -> the shared polynomial of that one variable, built on first use.
+_VAR_POLYS: dict[int, SparsePolynomial] = {}
+
+
 def var(v: Union[Variable, str]) -> SparsePolynomial:
     """The polynomial consisting of a single variable."""
     if isinstance(v, str):
         v = Variable.from_name(v)
-    return SparsePolynomial._raw({Monomial({v: 1}): 1})
+    elif not isinstance(v, Variable):
+        raise TypeError(f"not a variable: {type(v).__name__}")
+    code = v.code
+    poly = _VAR_POLYS.get(code)
+    if poly is None:
+        poly = _VAR_POLYS[code] = SparsePolynomial._raw({Monomial({v: 1}): 1})
+    return poly
+
+
+def indexed_var(family: str, index: int) -> SparsePolynomial:
+    """var(Variable(family, index)), without building the Variable again."""
+    if family in _FAMILY_RANK and 0 < index < _INDEX_LIMIT:
+        poly = _VAR_POLYS.get(_FAMILY_RANK[family] << _RANK_SHIFT | index)
+        if poly is not None:
+            return poly
+    return var(Variable(family, index))
 
 
 def term(coeff: int, **exponents: int) -> SparsePolynomial:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from lahbell import cli
+from lahbell.exact_core import IntegralityError
 from lahbell.poly import SparsePolynomial
 from lahbell.verify import IdentityResult
 
@@ -40,6 +41,8 @@ GOLDEN_CASES = [
         ["poly", "incomplete-r-lah-bell", "--n", "1", "--k", "1", "--r", "1", "--format", "json"],
         "poly_incomplete_r_lah_bell_n1_k1_r1.json",
     ),
+    (["poly", "complete-r-lah-bell", "--n", "5", "--r", "2"], "poly_complete_r_lah_bell_n5_r2.txt"),
+    (["poly", "theorem7", "--n", "4", "--r", "1", "--format", "json"], "poly_theorem7_n4_r1.json"),
 ]
 
 
@@ -112,6 +115,26 @@ def test_usage_errors_exit_2(capsys):
         code = cli.main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+def test_refused_input_exits_2_without_traceback(capsys):
+    code = cli.main(["poly", "complete-bell", "--n", "5", "--seq-a", "1,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == "lahbell: error: explicit sequence too short: need index 3, have 2\n"
+
+
+def test_integrality_error_exits_2(capsys, monkeypatch):
+    def refuse(suite, n_max, r_max):
+        raise IntegralityError("non-integer coefficient 1/2")
+
+    monkeypatch.setattr(cli, "run_suites", refuse)
+    code = cli.main(["verify", "--suite", "theorem1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "lahbell: error: non-integer coefficient 1/2\n"
 
 
 def test_verify_single_suite_passes(capsys):

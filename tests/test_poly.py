@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lahbell.bell import ONES, SequenceSpec
 from lahbell.exact_core import IntegralityError
 from lahbell.poly import (
     SCALAR_X,
+    ZERO,
     Monomial,
     SparsePolynomial,
     Variable,
     const,
+    indexed_var,
     term,
     var,
 )
@@ -157,3 +160,127 @@ def test_pow_matches_repeated_product(p, k):
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+def test_polynomial_hash_matches_equality():
+    assert hash(const(3)) == hash(3)
+    assert hash(const(-1)) == hash(-1)
+    assert hash(ZERO) == hash(0)
+    assert hash(var("x1") - var("x1")) == hash(0)
+    assert hash((var("x1") + 1) ** 2) == hash(var("x1") ** 2 + 2 * var("x1") + 1)
+    table = {const(3): "three", var("a2") * var("b1"): "a2*b1"}
+    assert table[3] == "three"
+    assert table[term(1, b1=1, a2=1)] == "a2*b1"
+
+
+def test_sequence_specs_are_hashable():
+    assert hash(SequenceSpec.uniform(2)) == hash(SequenceSpec.uniform(const(2)))
+    assert len({SequenceSpec.uniform(var("x1")), SequenceSpec.uniform(var("x1")), ONES}) == 2
+
+
+def test_variable_polynomials_are_shared():
+    assert var("x1") is var(Variable("x", 1))
+    assert indexed_var("a", 3) is var("a3")
+    assert indexed_var("scalar", 1) is var(SCALAR_X)
+    p = var("y2")
+    assert str(p * 3 + p ** 2) == "y2^2 + 3*y2"
+    assert str(p) == "y2"
+    with pytest.raises(ValueError):
+        indexed_var("a", 0)
+    with pytest.raises(ValueError):
+        indexed_var("x", 2**40 + 1)
+    with pytest.raises(TypeError):
+        var(3)
+
+
+def test_variable_index_must_fit_the_code():
+    assert Variable("y", 2**40 - 1).code < Variable("scalar").code
+    with pytest.raises(ValueError):
+        Variable("x", 2**40)
+
+
+# -- the int-coded monomial against plain-dict references ---------------------
+
+_variables = st.one_of(
+    st.builds(
+        Variable,
+        st.sampled_from(["x", "a", "b", "y"]),
+        st.one_of(st.integers(min_value=1, max_value=6), st.just(2**40 - 1)),
+    ),
+    st.just(SCALAR_X),
+)
+_exponent_maps = st.dictionaries(_variables, st.integers(min_value=0, max_value=4), max_size=5)
+_monomials = _exponent_maps.map(Monomial)
+
+
+def _reference_pairs(exponents):
+    """Canonical pairs of a Variable -> exponent dict, built without Monomial."""
+    return tuple(sorted(((v, e) for v, e in exponents.items() if e), key=lambda p: p[0].sort_key))
+
+
+@given(_monomials, _monomials)
+def test_monomial_product_matches_dict_merge(m1, m2):
+    merged = dict(m1.pairs)
+    for v, e in m2.pairs:
+        merged[v] = merged.get(v, 0) + e
+    product = m1 * m2
+    assert product.pairs == _reference_pairs(merged)
+    assert product == Monomial(merged)
+    assert hash(product) == hash(Monomial(merged))
+    assert product == m2 * m1
+
+
+@given(_monomials, _monomials, _monomials)
+def test_monomial_product_is_associative_with_unit(m1, m2, m3):
+    assert (m1 * m2) * m3 == m1 * (m2 * m3)
+    assert m1 * Monomial() == m1 == Monomial() * m1
+
+
+@given(_monomials, st.integers(min_value=0, max_value=5))
+def test_monomial_power_matches_repeated_product(m, k):
+    expected = Monomial()
+    for _ in range(k):
+        expected = expected * m
+    assert m ** k == expected
+    assert (m ** k).pairs == tuple((v, e * k) for v, e in m.pairs if k)
+
+
+_exponent_lists = st.lists(
+    st.tuples(_variables, st.integers(min_value=0, max_value=4)),
+    max_size=6,
+    unique_by=lambda p: p[0],
+)
+
+
+@given(_exponent_lists, st.randoms())
+def test_pairs_follow_variable_order_for_any_input_order(items, rnd):
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    m = Monomial(shuffled)
+    assert m.pairs == _reference_pairs(dict(items))
+    assert m.variables() == tuple(v for v, _ in m.pairs)
+    for v, e in items:
+        assert m.exponent(v) == e
+
+
+@given(_monomials)
+def test_sort_key_matches_variable_sort_keys(m):
+    old = (-m.degree, tuple((v.sort_key[0], v.sort_key[1], -e) for v, e in m.pairs))
+    assert m.sort_key() == old
+
+
+_coded_polys = st.lists(
+    st.tuples(_monomials, st.integers(min_value=-10**20, max_value=10**20)), max_size=5
+).map(SparsePolynomial)
+
+
+@given(_coded_polys)
+def test_json_round_trip_property(p):
+    assert SparsePolynomial.from_json_obj(p.to_json_obj()) == p
+
+
+@given(_coded_polys, _coded_polys)
+def test_equal_polynomials_hash_equal(p, q):
+    assert p * q == q * p
+    assert hash(p * q) == hash(q * p)
+    assert hash(p + q - q) == hash(p)
