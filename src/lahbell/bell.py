@@ -12,17 +12,38 @@ blocks and a fixed number of distinguished ones.  Coefficients that involve
 division are computed exactly: integer routes use exact_div, and the two
 operations that genuinely need fractional intermediates accumulate
 fractions.Fraction values and assert denominator 1 at the boundary.
+
+The six witness-sum constructors share one term loop, _witness_sum.  It
+reads a plain witness as a paired one with an empty r-part, so every
+constructor differs only in where its witnesses come from and in the
+coefficient rule: with or without the (i!)^v block weights, integral or
+fractional.  Within one call the loop keeps a factorial table and a table
+of (i, v) -> (spec value at i)^v with its coefficient divisor, so a factor
+that recurs across witnesses is computed once; nothing outlives the call.
+complete_bell and complete_lah_bell take their witnesses from
+_exponent_vectors, which enumerates all weight-n vectors directly rather
+than through enumerate_pi, so checking them against the sum of the
+incomplete polynomials over k stays a comparison of two enumerations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_core import IntegralityError, exact_div, factorial, rlah
+from .exact_core import IntegralityError, exact_div, factorial, factorials_upto, rlah
 from .partitions import enumerate_lambda, enumerate_pi
-from .poly import ONE, PolyAccumulator, SparsePolynomial, Variable, as_poly, const, indexed_var
+from .poly import (
+    ONE,
+    PolyAccumulator,
+    SparsePolynomial,
+    Variable,
+    as_poly,
+    const,
+    indexed_var,
+    product,
+)
 
 __all__ = [
     "SequenceSpec",
@@ -134,31 +155,93 @@ class _RationalAccumulator:
 
 
 def _exponent_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """Dense vectors (j_1, ..., j_n) with sum(i * j_i) = n, largest-first."""
+    """Dense vectors (j_1, ..., j_n) with sum(i * j_i) = n, largest-first.
+
+    A vector is complete once its weight is used up, so the recursion stops
+    there rather than walking the remaining slots at zero.
+    """
     if n == 0:
         yield ()
         return
     buf = [0] * n
 
     def rec(i: int, weight: int) -> Iterator[tuple[int, ...]]:
-        if i > n:
-            if weight == 0:
-                yield tuple(buf)
-            return
+        # weight > 0; the slots after i are zero in buf
         for v in range(weight // i, -1, -1):
+            rest = weight - v * i
             buf[i - 1] = v
-            yield from rec(i + 1, weight - v * i)
+            if not rest:
+                yield tuple(buf)
+            elif rest > i:  # the later slots i+1..n cannot hold less than i+1
+                yield from rec(i + 1, rest)
         buf[i - 1] = 0
 
     yield from rec(1, n)
 
 
-def _power_product(spec: SequenceSpec, exponents: Sequence[int], start: int = 1) -> SparsePolynomial:
-    product = ONE
-    for i, e in enumerate(exponents, start):
-        if e:
-            product = product * spec.at(i) ** e
-    return product
+class _Factors(dict):
+    """(i, v) -> (spec.at(i + shift) ** v, v! or v! * (i!)^v), filled on first use.
+
+    One table lives for one constructor call; shift is 0 for the k-part and
+    for plain witnesses, and 1 for the r-part, whose slot i carries b_{i+1}.
+    """
+
+    def __init__(
+        self, spec: SequenceSpec, shift: int, facts: list[int], block_weights: bool
+    ) -> None:
+        super().__init__()
+        self._spec = spec
+        self._shift = shift
+        self._facts = facts
+        self._block_weights = block_weights
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[SparsePolynomial, int]:
+        i, v = key
+        weight = self._facts[v]
+        if self._block_weights:
+            weight *= self._facts[i] ** v
+        entry = self[key] = (self._spec.at(i + self._shift) ** v, weight)
+        return entry
+
+
+def _witness_sum(
+    n: int,
+    rho: int,
+    witnesses: Iterable[tuple[Sequence[int], Sequence[int]]],
+    a: SequenceSpec,
+    b: SequenceSpec,
+    block_weights: bool,
+    fractional: bool,
+) -> SparsePolynomial:
+    """Sum over paired witnesses (k_part, r_part) of coefficient times monomial.
+
+    The monomial is prod a_i^k_i * prod b_{i+1}^r_i.  The coefficient is
+    n! * rho! over the product of k_i! and r_i!, each times (i!)^v when
+    block_weights is set.  It is an exact integer unless fractional is set;
+    then the terms are summed as fractions and the result must be integral.
+    """
+    if n < 0 or rho < 0:
+        raise ValueError(f"n and rho must be nonnegative, got n={n}, rho={rho}")
+    facts = factorials_upto(max(n, rho))
+    a_factors = _Factors(a, 0, facts, block_weights)
+    b_factors = _Factors(b, 1, facts, block_weights)
+    acc = _RationalAccumulator() if fractional else PolyAccumulator()
+    num = facts[n] * facts[rho]
+    for k_part, r_part in witnesses:
+        powers = []
+        den = 1
+        for i, v in enumerate(k_part, 1):
+            if v:
+                power, weight = a_factors[i, v]
+                powers.append(power)
+                den *= weight
+        for i, v in enumerate(r_part):
+            if v:
+                power, weight = b_factors[i, v]
+                powers.append(power)
+                den *= weight
+        acc.add(product(powers), Fraction(num, den) if fractional else exact_div(num, den))
+    return acc.build()
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -181,15 +264,8 @@ def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
 
     Zero for k > n; the empty witness makes (0, 0) give 1.
     """
-    acc = PolyAccumulator()
-    nf = factorial(n)
-    for w in enumerate_pi(n, k):
-        denom = 1
-        for i, ji in enumerate(w.j, 1):
-            if ji:
-                denom *= factorial(ji) * factorial(i) ** ji
-        acc.add(_power_product(xs, w.j), exact_div(nf, denom))
-    return acc.build()
+    witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True, fractional=False)
 
 
 def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
@@ -198,15 +274,8 @@ def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     Enumerates sum(i * j_i) = n directly rather than grading by block count,
     so the decomposition into incomplete_bell values is a genuine cross-check.
     """
-    acc = PolyAccumulator()
-    nf = factorial(n)
-    for j in _exponent_vectors(n):
-        denom = 1
-        for i, ji in enumerate(j, 1):
-            if ji:
-                denom *= factorial(ji) * factorial(i) ** ji
-        acc.add(_power_product(xs, j), exact_div(nf, denom))
-    return acc.build()
+    witnesses = ((j, ()) for j in _exponent_vectors(n))
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True, fractional=False)
 
 
 def incomplete_r_bell(
@@ -220,23 +289,8 @@ def incomplete_r_bell(
     Fractional intermediates are exact and must cancel; a non-integer
     boundary coefficient raises IntegralityError.
     """
-    acc = _RationalAccumulator()
-    nf = factorial(n)
-    rhof = factorial(rho)
-    for w in enumerate_lambda(n, k, rho):
-        dk = 1
-        poly = ONE
-        for i, v in enumerate(w.k_part, 1):
-            if v:
-                dk *= factorial(v) * factorial(i) ** v
-                poly = poly * a.at(i) ** v
-        dr = 1
-        for i, v in enumerate(w.r_part):
-            if v:
-                dr *= factorial(v) * factorial(i) ** v
-                poly = poly * b.at(i + 1) ** v
-        acc.add(poly, Fraction(nf, dk) * Fraction(rhof, dr))
-    return acc.build()
+    witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho))
+    return _witness_sum(n, rho, witnesses, a, b, block_weights=True, fractional=True)
 
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
@@ -254,28 +308,14 @@ def incomplete_lah_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     the i! block weights of the ordered-block model cancel the 1/i! of the
     plain model, leaving an all-integer multinomial.
     """
-    acc = PolyAccumulator()
-    nf = factorial(n)
-    for w in enumerate_pi(n, k):
-        denom = 1
-        for ji in w.j:
-            if ji > 1:
-                denom *= factorial(ji)
-        acc.add(_power_product(xs, w.j), exact_div(nf, denom))
-    return acc.build()
+    witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False, fractional=False)
 
 
 def complete_lah_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     """Sum of the ordered-block shape over all weight-n vectors."""
-    acc = PolyAccumulator()
-    nf = factorial(n)
-    for j in _exponent_vectors(n):
-        denom = 1
-        for ji in j:
-            if ji > 1:
-                denom *= factorial(ji)
-        acc.add(_power_product(xs, j), exact_div(nf, denom))
-    return acc.build()
+    witnesses = ((j, ()) for j in _exponent_vectors(n))
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False, fractional=False)
 
 
 def incomplete_r_lah_bell(
@@ -286,25 +326,8 @@ def incomplete_r_lah_bell(
     Term coefficient n!/prod(k_i!) * (2r)!/prod(r_i!) on
     prod a_i^k_i * prod b_{i+1}^r_i; all-integer throughout.
     """
-    acc = PolyAccumulator()
-    nf = factorial(n)
-    rf = factorial(2 * r)
-    for w in enumerate_lambda(n, k, 2 * r):
-        dk = 1
-        poly = ONE
-        for i, v in enumerate(w.k_part, 1):
-            if v:
-                if v > 1:
-                    dk *= factorial(v)
-                poly = poly * a.at(i) ** v
-        dr = 1
-        for i, v in enumerate(w.r_part):
-            if v:
-                if v > 1:
-                    dr *= factorial(v)
-                poly = poly * b.at(i + 1) ** v
-        acc.add(poly, exact_div(nf, dk) * exact_div(rf, dr))
-    return acc.build()
+    witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, 2 * r))
+    return _witness_sum(n, 2 * r, witnesses, a, b, block_weights=False, fractional=False)
 
 
 def complete_r_lah_bell(
@@ -350,7 +373,9 @@ def complete_r_lah_bell_expansion(
     prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.
     """
     acc = _RationalAccumulator()
-    nf = factorial(n)
+    facts = factorials_upto(n)
+    nf = facts[n]
+    x_factors = _Factors(xs, 0, facts, block_weights=False)
     for k in range(n + 1):
         ytotals = PolyAccumulator()
         for comp in _compositions(n - k, 2 * r):
@@ -362,11 +387,15 @@ def complete_r_lah_bell_expansion(
         if ypart.is_zero:
             continue
         for m in _exponent_vectors(k):
+            powers = []
             denom = 1
-            for v in m:
-                if v > 1:
-                    denom *= factorial(v)
-            acc.add(_power_product(xs, m) * ypart, Fraction(nf, denom))
+            for i, v in enumerate(m, 1):
+                if v:
+                    power, weight = x_factors[i, v]
+                    powers.append(power)
+                    denom *= weight
+            powers.append(ypart)
+            acc.add(product(powers), Fraction(nf, denom))
     return acc.build()
 
 

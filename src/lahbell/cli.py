@@ -114,11 +114,22 @@ def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, names: S
             parser.error(f"--{name.replace('_', '-')} must be nonnegative")
 
 
+def _refuse(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    optional: Sequence[str],
+    allowed: Sequence[str],
+) -> None:
+    """Usage error for any optional flag given that the family does not take."""
+    for name in optional:
+        if name not in allowed and getattr(args, name) is not None:
+            parser.error(f"--{name.replace('_', '-')} does not apply to family {args.family!r}")
+
+
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     needs_r = args.family in ("rlah", "r-lah-bell")
     _require(parser, args, ["r"] if needs_r else [])
-    if not needs_r and args.r is not None:
-        parser.error(f"--r does not apply to family {args.family!r}")
+    _refuse(parser, args, ["r"], ["r"] if needs_r else [])
     query: dict = {"family": args.family, "n_max": args.n_max}
     if needs_r:
         query["r"] = args.r
@@ -161,6 +172,7 @@ def _cmd_value(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dic
         "lah-bell-poly": ["r", "x"],
     }[family]
     _require(parser, args, required)
+    _refuse(parser, args, ["k", "r", "x"], required)
     query: dict = {"family": family, "n": args.n}
     for name in required:
         query[name] = getattr(args, name)
@@ -195,10 +207,12 @@ def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict
         "complete-lah-bell",
         "incomplete-lah-bell",
     )
-    if single_sequence and args.seq_b is not None:
-        parser.error(f"--seq-b does not apply to family {family!r}")
-    if family != "complete-r-lah-bell" and args.x is not None:
-        parser.error("--x only applies to family 'complete-r-lah-bell'")
+    allowed = list(required)
+    if not single_sequence:
+        allowed.append("seq_b")
+    if family == "complete-r-lah-bell":
+        allowed.append("x")
+    _refuse(parser, args, ["k", "r", "x", "seq_b"], allowed)
 
     query: dict = {"family": family, "n": args.n}
     for name in required:

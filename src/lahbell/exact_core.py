@@ -15,6 +15,7 @@ __all__ = [
     "IntegralityError",
     "exact_div",
     "factorial",
+    "factorials_upto",
     "binomial",
     "multinomial",
     "lah",
@@ -46,6 +47,15 @@ def factorial(n: int) -> int:
     """n! for n >= 0."""
     _check_nonnegative(n=n)
     return math.factorial(n)
+
+
+def factorials_upto(m: int) -> list[int]:
+    """[0!, 1!, ..., m!], built by running products for callers that need many."""
+    _check_nonnegative(m=m)
+    table = [1] * (m + 1)
+    for i in range(2, m + 1):
+        table[i] = table[i - 1] * i
+    return table
 
 
 def binomial(n: int, k: int) -> int:

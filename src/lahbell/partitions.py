@@ -13,6 +13,15 @@ Both enumerators are generators yielding witnesses in descending
 lexicographic order on the dense tuple read from the lowest index upward
 (k-part first, then r-part), so streams are reproducible and suitable for
 golden tests.
+
+The enumerators fill slots from the lowest index upward and stop as soon as
+no units are left: every later slot is then forced to zero, so the witness
+is complete.  Pruning changes only how deep the recursion goes, never which
+witnesses come out or in what order.  The r-parts that complete a k-part
+depend only on the weight it leaves, so enumerate_lambda lists them once per
+weight within one call and pairs each k-part with that list.  Paired
+witnesses are built from slices that already end in a nonzero entry, so the
+enumerator skips the trimming that the public LambdaWitness constructor does.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact_core import exact_div, factorial
+from .exact_core import exact_div, factorials_upto
 
 __all__ = [
     "PiWitness",
@@ -61,6 +70,14 @@ class LambdaWitness:
         object.__setattr__(self, "k_part", _trimmed(list(self.k_part)))
         object.__setattr__(self, "r_part", _trimmed(list(self.r_part)))
 
+    @classmethod
+    def _trusted(cls, k_part: tuple[int, ...], r_part: tuple[int, ...]) -> "LambdaWitness":
+        """Wrap parts that are already trimmed, skipping __post_init__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "k_part", k_part)
+        object.__setattr__(obj, "r_part", r_part)
+        return obj
+
 
 def enumerate_pi(n: int, k: int) -> Iterator[PiWitness]:
     """Yield every PiWitness for (n, k), largest-first lexicographically.
@@ -72,25 +89,26 @@ def enumerate_pi(n: int, k: int) -> Iterator[PiWitness]:
         raise ValueError("n and k must be nonnegative")
     if k > n:
         return
+    if k == 0:
+        if n == 0:
+            yield PiWitness((0,))
+        return
     length = n - k + 1
     buf = [0] * length
 
     def rec(pos: int, units: int, weight: int) -> Iterator[PiWitness]:
-        if pos > length:
-            if units == 0 and weight == 0:
-                yield PiWitness(tuple(buf))
-            return
-        hi = min(units, weight // pos)
-        for v in range(hi, -1, -1):
+        # units > 0; the slots after pos are zero in buf
+        for v in range(min(units, weight // pos), -1, -1):
             rest_units = units - v
             rest_weight = weight - v * pos
             # remaining slots sit at indices pos+1..length
-            if rest_weight > rest_units * length:
-                continue
-            if rest_weight < rest_units * (pos + 1):
+            if rest_weight > rest_units * length or rest_weight < rest_units * (pos + 1):
                 continue
             buf[pos - 1] = v
-            yield from rec(pos + 1, rest_units, rest_weight)
+            if rest_units:
+                yield from rec(pos + 1, rest_units, rest_weight)
+            else:
+                yield PiWitness(tuple(buf))
         buf[pos - 1] = 0
 
     yield from rec(1, k, n)
@@ -108,53 +126,68 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
         return
     kbuf = [0] * n
     rbuf = [0] * (n + 1)
+    make = LambdaWitness._trusted
 
-    def rec_r(i: int, units: int, weight: int) -> Iterator[LambdaWitness]:
-        if i > n:
-            if units == 0 and weight == 0:
-                yield LambdaWitness(tuple(kbuf), tuple(rbuf))
-            return
+    def rec_r(i: int, units: int, weight: int) -> Iterator[tuple[int, ...]]:
+        # units > 0; the r-slots after i are zero in rbuf
         hi = units if i == 0 else min(units, weight // i)
         for v in range(hi, -1, -1):
             rest_units = units - v
             rest_weight = weight - v * i
-            if rest_weight > rest_units * n:
-                continue
-            if rest_weight < rest_units * (i + 1):
+            if rest_weight > rest_units * n or rest_weight < rest_units * (i + 1):
                 continue
             rbuf[i] = v
-            yield from rec_r(i + 1, rest_units, rest_weight)
+            if rest_units:
+                yield from rec_r(i + 1, rest_units, rest_weight)
+            else:
+                yield tuple(rbuf[: i + 1])
         rbuf[i] = 0
 
+    # weight -> its r-parts in stream order; every k-part that leaves the
+    # same weight takes the same list, so each is enumerated once per call
+    r_parts: dict[int, list[tuple[int, ...]]] = {}
+
+    def r_side(k_part: tuple[int, ...], weight: int) -> Iterator[LambdaWitness]:
+        parts = r_parts.get(weight)
+        if parts is None:
+            if rho:
+                parts = list(rec_r(0, rho, weight))
+            else:
+                parts = [()] if weight == 0 else []
+            r_parts[weight] = parts
+        for r_part in parts:
+            yield make(k_part, r_part)
+
     def rec_k(i: int, units: int, weight: int) -> Iterator[LambdaWitness]:
-        if i > n:
-            if units == 0:
-                yield from rec_r(0, rho, weight)
-            return
-        hi = min(units, weight // i)
-        for v in range(hi, -1, -1):
+        # units > 0; the k-slots after i are zero in kbuf
+        for v in range(min(units, weight // i), -1, -1):
             rest_units = units - v
             rest_weight = weight - v * i
-            if rest_weight > (rest_units + rho) * n:
-                continue
-            if rest_weight < rest_units * (i + 1):
+            if rest_weight > (rest_units + rho) * n or rest_weight < rest_units * (i + 1):
                 continue
             kbuf[i - 1] = v
-            yield from rec_k(i + 1, rest_units, rest_weight)
+            if not rest_units:
+                yield from r_side(tuple(kbuf[:i]), rest_weight)
+            elif i < n:
+                yield from rec_k(i + 1, rest_units, rest_weight)
         kbuf[i - 1] = 0
 
-    yield from rec_k(1, k, n)
+    if k:
+        yield from rec_k(1, k, n)
+    else:
+        yield from r_side((), n)
 
 
 def lah_via_pi(n: int, k: int) -> int:
     """Partition-sum route to lah(n, k): sum over witnesses of n!/prod(j_i!)."""
     total = 0
-    nf = factorial(n)
+    facts = factorials_upto(n)
+    nf = facts[n]
     for w in enumerate_pi(n, k):
         denom = 1
         for ji in w.j:
             if ji > 1:
-                denom *= factorial(ji)
+                denom *= facts[ji]
         total += exact_div(nf, denom)
     return total
 
@@ -165,16 +198,17 @@ def rlah_via_lambda(n: int, k: int, r: int) -> int:
     Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses.
     """
     total = 0
-    nf = factorial(n)
-    rf = factorial(2 * r)
+    facts = factorials_upto(max(n, 2 * r))
+    nf = facts[n]
+    rf = facts[2 * r]
     for w in enumerate_lambda(n, k, 2 * r):
         dk = 1
         for v in w.k_part:
             if v > 1:
-                dk *= factorial(v)
+                dk *= facts[v]
         dr = 1
         for v in w.r_part:
             if v > 1:
-                dr *= factorial(v)
+                dr *= facts[v]
         total += exact_div(nf, dk) * exact_div(rf, dr)
     return total

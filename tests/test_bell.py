@@ -319,9 +319,29 @@ def test_moments_from_cumulants():
         moments_from_cumulants([1], 2)
 
 
+def test_partial_bell_matches_sympy():
+    # sympy's bell(n, k, symbols) was written outside this package
+    sympy = pytest.importorskip("sympy")
+    for n in range(9):
+        summed = sympy.Integer(0)
+        for k in range(n + 1):
+            theirs = sympy.bell(n, k, sympy.symbols(f"x1:{n - k + 2}"))
+            ours = sympy.sympify(incomplete_bell(n, k, X).to_text())
+            assert sympy.expand(ours - theirs) == 0, (n, k)
+            summed += theirs
+        ours = sympy.sympify(complete_bell(n, X).to_text())
+        assert sympy.expand(ours - summed) == 0, n
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         incomplete_bell(-1, 0, X)
+    with pytest.raises(ValueError):
+        complete_bell(-1, X)
+    with pytest.raises(ValueError):
+        complete_lah_bell(-2, X)
+    with pytest.raises(ValueError):
+        complete_r_lah_bell_expansion(-1, 1, X, B)
     with pytest.raises(ValueError):
         incomplete_r_bell(2, 1, -1, A, B)
     with pytest.raises(ValueError):

@@ -117,6 +117,37 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize(
+    "argv,flag,family",
+    [
+        (["value", "lah", "--n", "3", "--k", "1", "--r", "2"], "--r", "lah"),
+        (["value", "lah", "--n", "3", "--k", "1", "--x", "2"], "--x", "lah"),
+        (["value", "lah-bell", "--n", "3", "--k", "1"], "--k", "lah-bell"),
+        (["value", "r-lah-bell", "--n", "3", "--r", "1", "--x", "2"], "--x", "r-lah-bell"),
+        (["value", "lah-bell-poly", "--n", "3", "--r", "1", "--x", "2", "--k", "1"], "--k", "lah-bell-poly"),
+        (["poly", "complete-bell", "--n", "3", "--k", "2"], "--k", "complete-bell"),
+        (["poly", "complete-lah-bell", "--n", "3", "--r", "1"], "--r", "complete-lah-bell"),
+        (["poly", "incomplete-bell", "--n", "3", "--k", "1", "--x", "2"], "--x", "incomplete-bell"),
+        (["poly", "incomplete-r-lah-bell", "--n", "3", "--k", "1", "--r", "1", "--x", "2"], "--x", "incomplete-r-lah-bell"),
+        (["poly", "complete-r-lah-bell", "--n", "3", "--r", "1", "--k", "1"], "--k", "complete-r-lah-bell"),
+        (["poly", "theorem7", "--n", "3", "--r", "1", "--x", "1"], "--x", "theorem7"),
+        (["poly", "complete-bell", "--n", "3", "--seq-b", "ones"], "--seq-b", "complete-bell"),
+    ],
+)
+def test_flags_a_family_does_not_take_exit_2(capsys, argv, flag, family):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {flag} does not apply to family {family!r}\n")
+
+
+def test_flags_a_family_takes_still_work(capsys):
+    assert run_cli(capsys, ["value", "rlah", "--n", "3", "--k", "1", "--r", "1"]) == (0, "36\n")
+    argv = ["poly", "complete-r-lah-bell", "--n", "1", "--r", "1", "--x", "2"]
+    assert run_cli(capsys, argv + ["--seq-a", "ones", "--seq-b", "ones"]) == (0, "4\n")
+
+
 def test_refused_input_exits_2_without_traceback(capsys):
     code = cli.main(["poly", "complete-bell", "--n", "5", "--seq-a", "1,2"])
     captured = capsys.readouterr()

@@ -13,6 +13,7 @@ from lahbell.exact_core import (
     binomial,
     exact_div,
     factorial,
+    factorials_upto,
     lah,
     lah_bell_number,
     multinomial,
@@ -67,6 +68,13 @@ def test_factorial_matches_running_product():
     for n in range(13):
         assert factorial(n) == product
         product *= n + 1
+
+
+def test_factorial_table_matches_factorial():
+    assert factorials_upto(0) == [1]
+    assert factorials_upto(12) == [factorial(n) for n in range(13)]
+    with pytest.raises(ValueError):
+        factorials_upto(-1)
 
 
 def test_binomial_matches_pascal_triangle():

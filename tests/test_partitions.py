@@ -5,9 +5,11 @@ and compare as sets, then check the generator's ordering separately.
 """
 
 import itertools
+import operator
 
 import pytest
 
+from lahbell.bell import _exponent_vectors
 from lahbell.exact_core import lah, rlah
 from lahbell.partitions import (
     LambdaWitness,
@@ -173,3 +175,90 @@ def test_paired_witness_sum_rebuilds_rlah_triangle():
         for k in range(n + 1):
             for r in range(4):
                 assert rlah_via_lambda(n, k, r) == rlah(n, k, r), (n, k, r)
+
+
+# -- streams pinned against a brute-force reference -------------------------
+#
+# The reference filters itertools.product over the slot ranges and sorts the
+# survivors into the documented order: descending lexicographic on the dense
+# tuple, k-part before r-part.  The enumerators prune their recursion, so
+# equal lists here, order included, show that pruning dropped nothing.
+
+STREAM_N_MAX = 12
+STREAM_RHO_MAX = 4
+
+
+def _slot_vectors(first, cap):
+    """Every vector over slots first..STREAM_N_MAX with at most cap units and
+    weight sum(i * v_i) <= STREAM_N_MAX, as (units, weight, vector) triples.
+
+    The product runs over the slots above `first`; slot `first` (weight 0 or
+    1) then takes each value the unit and weight budgets leave room for.
+    """
+    n = STREAM_N_MAX
+    slots = tuple(range(first + 1, n + 1))
+    ranges = [range(min(cap, n // i) + 1) for i in slots]
+    found = []
+    for rest in itertools.product(*ranges):
+        weight = sum(map(operator.mul, slots, rest))
+        units = sum(rest)
+        if weight > n or units > cap:
+            continue
+        room = cap - units if first == 0 else min(cap - units, n - weight)
+        for v in range(room + 1):
+            found.append((units + v, weight + first * v, (v,) + rest))
+    return found
+
+
+def _trim(t):
+    end = len(t)
+    while end and t[end - 1] == 0:
+        end -= 1
+    return t[:end]
+
+
+def reference_streams(n, k_vectors, r_vectors):
+    """pi, lambda and weight-n vector streams for one n, by brute force."""
+    k_side = {}
+    for units, weight, vec in k_vectors:
+        if weight <= n:  # so the slots above n are zero
+            k_side.setdefault((units, weight), []).append(vec[:n])
+    r_side = {}
+    for units, weight, vec in r_vectors:
+        if weight <= n:
+            r_side.setdefault((units, weight), []).append(vec[: n + 1])
+    pi = {}
+    lam = {}
+    for k in range(n + 2):
+        # dense length n - k + 1, which exceeds n only for the (0, 0) witness
+        pi[k] = sorted(
+            ((vec + (0,))[: n - k + 1] for vec in k_side.get((k, n), [])), reverse=True
+        )
+        for rho in range(STREAM_RHO_MAX + 1):
+            dense = [
+                kv + rv
+                for weight in range(n + 1)
+                for kv in k_side.get((k, weight), [])
+                for rv in r_side.get((rho, n - weight), [])
+            ]
+            lam[k, rho] = [
+                (_trim(d[:n]), _trim(d[n:])) for d in sorted(dense, reverse=True)
+            ]
+    vectors = sorted(
+        (vec for (units, weight), vecs in k_side.items() if weight == n for vec in vecs),
+        reverse=True,
+    )
+    return pi, lam, vectors
+
+
+def test_streams_match_brute_force_reference():
+    k_vectors = _slot_vectors(1, STREAM_N_MAX)
+    r_vectors = _slot_vectors(0, STREAM_RHO_MAX)
+    for n in range(STREAM_N_MAX + 1):
+        pi, lam, vectors = reference_streams(n, k_vectors, r_vectors)
+        assert list(_exponent_vectors(n)) == vectors, n
+        for k in range(n + 2):
+            assert [w.j for w in enumerate_pi(n, k)] == pi[k], (n, k)
+            for rho in range(STREAM_RHO_MAX + 1):
+                got = [(w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho)]
+                assert got == lam[k, rho], (n, k, rho)
