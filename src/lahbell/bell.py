@@ -8,18 +8,17 @@ polynomial carrying the corresponding number.
 Two sum shapes appear throughout.  The plain shape runs over block-size
 multiplicity vectors (j_i) with sum(i*j_i) = n; the extended shape runs over
 paired vectors from enumerate_lambda, splitting weight between ordinary
-blocks and a fixed number of distinguished ones.  Coefficients that involve
-division are computed exactly: integer routes use exact_div, and the two
-operations that genuinely need fractional intermediates accumulate
-fractions.Fraction values and assert denominator 1 at the boundary.
+blocks and a fixed number of distinguished ones.  Every term coefficient is
+an integer quotient of factorials, taken with exact_div, so a term that is
+ever not whole raises IntegralityError.
 
 The six witness-sum constructors share one term loop, _witness_sum.  It
 reads a plain witness as a paired one with an empty r-part, so every
 constructor differs only in where its witnesses come from and in the
-coefficient rule: with or without the (i!)^v block weights, integral or
-fractional.  Within one call the loop keeps a factorial table and a table
-of (i, v) -> (spec value at i)^v with its coefficient divisor, so a factor
-that recurs across witnesses is computed once; nothing outlives the call.
+coefficient rule: with or without the (i!)^v block weights.  Within one
+call the loop keeps a factorial table and a table of (i, v) -> (spec value
+at i)^v with its coefficient divisor, so a factor that recurs across
+witnesses is computed once; nothing outlives the call.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -29,10 +28,9 @@ incomplete polynomials over k stays a comparison of two enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_core import IntegralityError, exact_div, factorial, factorials_upto, rlah
+from .exact_core import exact_div, factorial, factorials_upto, rlah
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
@@ -123,37 +121,6 @@ ONES = SequenceSpec.ones()
 FACTORIALS = SequenceSpec.factorials()
 
 
-class _RationalAccumulator:
-    """Fraction-weighted polynomial sum that must end up integral."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: dict = {}
-
-    def add(self, poly: SparsePolynomial, scale: Fraction) -> None:
-        if not scale:
-            return
-        data = self._data
-        for mono, coeff in poly.items():
-            total = data.get(mono, 0) + coeff * scale
-            if total:
-                data[mono] = total
-            elif mono in data:
-                del data[mono]
-
-    def build(self) -> SparsePolynomial:
-        clean = {}
-        for mono, value in self._data.items():
-            frac = Fraction(value)
-            if frac.denominator != 1:
-                raise IntegralityError(
-                    f"non-integer coefficient {frac} on {mono}"
-                )
-            clean[mono] = int(frac)
-        return SparsePolynomial(clean)
-
-
 def _exponent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """Dense vectors (j_1, ..., j_n) with sum(i * j_i) = n, largest-first.
 
@@ -211,21 +178,21 @@ def _witness_sum(
     a: SequenceSpec,
     b: SequenceSpec,
     block_weights: bool,
-    fractional: bool,
 ) -> SparsePolynomial:
     """Sum over paired witnesses (k_part, r_part) of coefficient times monomial.
 
     The monomial is prod a_i^k_i * prod b_{i+1}^r_i.  The coefficient is
     n! * rho! over the product of k_i! and r_i!, each times (i!)^v when
-    block_weights is set.  It is an exact integer unless fractional is set;
-    then the terms are summed as fractions and the result must be integral.
+    block_weights is set.  It is an integer: the slots i >= 1 of both parts
+    form a block type m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i!
+    divides n!, k_i! divides m_i!, and prod r_i! divides rho!.
     """
     if n < 0 or rho < 0:
         raise ValueError(f"n and rho must be nonnegative, got n={n}, rho={rho}")
     facts = factorials_upto(max(n, rho))
     a_factors = _Factors(a, 0, facts, block_weights)
     b_factors = _Factors(b, 1, facts, block_weights)
-    acc = _RationalAccumulator() if fractional else PolyAccumulator()
+    acc = PolyAccumulator()
     num = facts[n] * facts[rho]
     for k_part, r_part in witnesses:
         powers = []
@@ -240,7 +207,7 @@ def _witness_sum(
                 power, weight = b_factors[i, v]
                 powers.append(power)
                 den *= weight
-        acc.add(product(powers), Fraction(num, den) if fractional else exact_div(num, den))
+        acc.add(product(powers), exact_div(num, den))
     return acc.build()
 
 
@@ -265,7 +232,7 @@ def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     Zero for k > n; the empty witness makes (0, 0) give 1.
     """
     witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True, fractional=False)
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True)
 
 
 def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
@@ -275,7 +242,7 @@ def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     so the decomposition into incomplete_bell values is a genuine cross-check.
     """
     witnesses = ((j, ()) for j in _exponent_vectors(n))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True, fractional=False)
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True)
 
 
 def incomplete_r_bell(
@@ -286,11 +253,12 @@ def incomplete_r_bell(
     Sums, over the (n, k, rho) witnesses, the product of
     n!/prod(k_i!) * prod (a_i/i!)^k_i   and
     rho!/prod(r_i!) * prod (b_{i+1}/i!)^r_i.
-    Fractional intermediates are exact and must cancel; a non-integer
-    boundary coefficient raises IntegralityError.
+    Each term's coefficient n! * rho! / prod(k_i! * r_i! * (i!)^(k_i + r_i))
+    is an integer, because k_i + r_i is the count of size-i blocks in a set
+    partition of n elements (see _witness_sum).
     """
     witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho))
-    return _witness_sum(n, rho, witnesses, a, b, block_weights=True, fractional=True)
+    return _witness_sum(n, rho, witnesses, a, b, block_weights=True)
 
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
@@ -309,13 +277,13 @@ def incomplete_lah_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     plain model, leaving an all-integer multinomial.
     """
     witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False, fractional=False)
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False)
 
 
 def complete_lah_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     """Sum of the ordered-block shape over all weight-n vectors."""
     witnesses = ((j, ()) for j in _exponent_vectors(n))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False, fractional=False)
+    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False)
 
 
 def incomplete_r_lah_bell(
@@ -327,7 +295,7 @@ def incomplete_r_lah_bell(
     prod a_i^k_i * prod b_{i+1}^r_i; all-integer throughout.
     """
     witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, 2 * r))
-    return _witness_sum(n, 2 * r, witnesses, a, b, block_weights=False, fractional=False)
+    return _witness_sum(n, 2 * r, witnesses, a, b, block_weights=False)
 
 
 def complete_r_lah_bell(
@@ -370,9 +338,10 @@ def complete_r_lah_bell_expansion(
     n! times the sum over k = 0..n of, for every multiplicity vector m with
     sum(i * m_i) = k, the term prod xs(i)^m_i / prod(m_i!), times, for every
     ordered 2r-tuple (l_1, ..., l_2r) summing to n - k, the factor
-    prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.
+    prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.  The
+    coefficient n!/prod(m_i!) is an integer, since prod m_i! divides k!.
     """
-    acc = _RationalAccumulator()
+    acc = PolyAccumulator()
     facts = factorials_upto(n)
     nf = facts[n]
     x_factors = _Factors(xs, 0, facts, block_weights=False)
@@ -395,7 +364,7 @@ def complete_r_lah_bell_expansion(
                     powers.append(power)
                     denom *= weight
             powers.append(ypart)
-            acc.add(product(powers), Fraction(nf, denom))
+            acc.add(product(powers), exact_div(nf, denom))
     return acc.build()
 
 

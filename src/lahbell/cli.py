@@ -28,22 +28,63 @@ from .bell import (
     lah_bell_polynomial,
 )
 from .exact_core import IntegralityError, lah, lah_bell_number, r_lah_bell_number, rlah
-from .poly import SCALAR_X, SparsePolynomial, var
+from .poly import SCALAR_X, var
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "run"]
 
-_TABLE_FAMILIES = ("lah", "rlah", "lah-bell", "r-lah-bell")
-_VALUE_FAMILIES = ("lah", "rlah", "lah-bell", "r-lah-bell", "lah-bell-poly")
-_POLY_FAMILIES = (
-    "complete-bell",
-    "incomplete-bell",
-    "complete-lah-bell",
-    "incomplete-lah-bell",
-    "incomplete-r-lah-bell",
-    "complete-r-lah-bell",
-    "theorem7",
-)
+
+def _triangle(n_max: int, entry) -> dict:
+    rows = [[entry(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+    return {"kind": "triangle", "rows": rows}
+
+
+def _sequence(n_max: int, entry) -> dict:
+    return {"kind": "sequence", "values": [entry(n) for n in range(n_max + 1)]}
+
+
+# Each command's families: family -> (required flags, further flags accepted,
+# computation).  The argparse choices keep the declaration order, and the JSON
+# query lists the required flags, then the further ones given, in that order.
+# The lambdas look up the library functions by name when called, so a wrapper
+# put on a module-level name (tracing, a test's substitute) still applies.
+_FOR_TABLE = {
+    "lah": ((), (), lambda a: _triangle(a.n_max, lah)),
+    "rlah": (("r",), (), lambda a: _triangle(a.n_max, lambda n, k: rlah(n, k, a.r))),
+    "lah-bell": ((), (), lambda a: _sequence(a.n_max, lah_bell_number)),
+    "r-lah-bell": (("r",), (), lambda a: _sequence(a.n_max, lambda n: r_lah_bell_number(n, a.r))),
+}
+_FOR_VALUE = {
+    "lah": (("k",), (), lambda a: lah(a.n, a.k)),
+    "rlah": (("k", "r"), (), lambda a: rlah(a.n, a.k, a.r)),
+    "lah-bell": ((), (), lambda a: lah_bell_number(a.n)),
+    "r-lah-bell": (("r",), (), lambda a: r_lah_bell_number(a.n, a.r)),
+    "lah-bell-poly": (("r", "x"), (), lambda a: lah_bell_polynomial(a.n, a.r, a.x).as_int()),
+}
+# poly entries carry, before the computation, the symbolic family names that
+# an absent --seq-a and --seq-b stand for; the computation takes both specs.
+_FOR_POLY = {
+    "complete-bell": ((), ("seq_a",), ("x",), lambda a, xs: complete_bell(a.n, xs)),
+    "incomplete-bell": (("k",), ("seq_a",), ("x",), lambda a, xs: incomplete_bell(a.n, a.k, xs)),
+    "complete-lah-bell": ((), ("seq_a",), ("x",), lambda a, xs: complete_lah_bell(a.n, xs)),
+    "incomplete-lah-bell": (
+        ("k",), ("seq_a",), ("x",), lambda a, xs: incomplete_lah_bell(a.n, a.k, xs)
+    ),
+    "incomplete-r-lah-bell": (
+        ("k", "r"), ("seq_a", "seq_b"), ("a", "b"),
+        lambda a, sa, sb: incomplete_r_lah_bell(a.n, a.k, a.r, sa, sb),
+    ),
+    "complete-r-lah-bell": (
+        ("r",), ("seq_a", "seq_b", "x"), ("a", "b"),
+        lambda a, sa, sb: complete_r_lah_bell(
+            a.n, a.r, var(SCALAR_X) if a.x is None else a.x, sa, sb
+        ),
+    ),
+    "theorem7": (
+        ("r",), ("seq_a", "seq_b"), ("x", "y"),
+        lambda a, xs, ys: complete_r_lah_bell_expansion(a.n, a.r, xs, ys),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="print a triangle or row-total sequence")
-    table.add_argument("family", choices=_TABLE_FAMILIES)
+    table.add_argument("family", choices=tuple(_FOR_TABLE))
     table.add_argument("--n-max", type=int, required=True)
     table.add_argument("--r", type=int)
     table.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     polyp = sub.add_parser("poly", help="print one polynomial in canonical form")
-    polyp.add_argument("family", choices=_POLY_FAMILIES)
+    polyp.add_argument("family", choices=tuple(_FOR_POLY))
     polyp.add_argument("--n", type=int, required=True)
     polyp.add_argument("--k", type=int)
     polyp.add_argument("--r", type=int)
@@ -70,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     polyp.add_argument("--format", choices=("text", "json"), default="text")
 
     value = sub.add_parser("value", help="print one number")
-    value.add_argument("family", choices=_VALUE_FAMILIES)
+    value.add_argument("family", choices=tuple(_FOR_VALUE))
     value.add_argument("--n", type=int, required=True)
     value.add_argument("--k", type=int)
     value.add_argument("--r", type=int)
@@ -126,127 +167,46 @@ def _refuse(
             parser.error(f"--{name.replace('_', '-')} does not apply to family {args.family!r}")
 
 
+def _family_query(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    families: dict,
+    flags: Sequence[str],
+    size: str,
+) -> tuple[dict, list]:
+    """Check the flags against the family's entry; return the query and the entry's rest.
+
+    flags lists the command's optional flags, in the order they are refused.
+    """
+    required, further, *rest = families[args.family]
+    _require(parser, args, required)
+    _refuse(parser, args, flags, required + further)
+    query: dict = {"family": args.family, size: getattr(args, size)}
+    for name in required + further:
+        if getattr(args, name) is not None:
+            query[name] = getattr(args, name)
+    return query, rest
+
+
 def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    needs_r = args.family in ("rlah", "r-lah-bell")
-    _require(parser, args, ["r"] if needs_r else [])
-    _refuse(parser, args, ["r"], ["r"] if needs_r else [])
-    query: dict = {"family": args.family, "n_max": args.n_max}
-    if needs_r:
-        query["r"] = args.r
-    if args.family == "lah":
-        record = {
-            "kind": "triangle",
-            "query": query,
-            "rows": [[lah(n, k) for k in range(n + 1)] for n in range(args.n_max + 1)],
-        }
-    elif args.family == "rlah":
-        record = {
-            "kind": "triangle",
-            "query": query,
-            "rows": [
-                [rlah(n, k, args.r) for k in range(n + 1)] for n in range(args.n_max + 1)
-            ],
-        }
-    elif args.family == "lah-bell":
-        record = {
-            "kind": "sequence",
-            "query": query,
-            "values": [lah_bell_number(n) for n in range(args.n_max + 1)],
-        }
-    else:
-        record = {
-            "kind": "sequence",
-            "query": query,
-            "values": [r_lah_bell_number(n, args.r) for n in range(args.n_max + 1)],
-        }
-    return record
+    query, (compute,) = _family_query(parser, args, _FOR_TABLE, ("r",), "n_max")
+    return {"query": query, **compute(args)}
 
 
 def _cmd_value(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    family = args.family
-    required = {
-        "lah": ["k"],
-        "rlah": ["k", "r"],
-        "lah-bell": [],
-        "r-lah-bell": ["r"],
-        "lah-bell-poly": ["r", "x"],
-    }[family]
-    _require(parser, args, required)
-    _refuse(parser, args, ["k", "r", "x"], required)
-    query: dict = {"family": family, "n": args.n}
-    for name in required:
-        query[name] = getattr(args, name)
-    if family == "lah":
-        result = lah(args.n, args.k)
-    elif family == "rlah":
-        result = rlah(args.n, args.k, args.r)
-    elif family == "lah-bell":
-        result = lah_bell_number(args.n)
-    elif family == "r-lah-bell":
-        result = r_lah_bell_number(args.n, args.r)
-    else:
-        result = lah_bell_polynomial(args.n, args.r, args.x).as_int()
-    return {"kind": "number", "query": query, "value": result}
+    query, (compute,) = _family_query(parser, args, _FOR_VALUE, ("k", "r", "x"), "n")
+    return {"kind": "number", "query": query, "value": compute(args)}
 
 
 def _cmd_poly(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    family = args.family
-    required = {
-        "complete-bell": [],
-        "incomplete-bell": ["k"],
-        "complete-lah-bell": [],
-        "incomplete-lah-bell": ["k"],
-        "incomplete-r-lah-bell": ["k", "r"],
-        "complete-r-lah-bell": ["r"],
-        "theorem7": ["r"],
-    }[family]
-    _require(parser, args, required)
-    single_sequence = family in (
-        "complete-bell",
-        "incomplete-bell",
-        "complete-lah-bell",
-        "incomplete-lah-bell",
+    query, (names, compute) = _family_query(
+        parser, args, _FOR_POLY, ("k", "r", "x", "seq_a", "seq_b"), "n"
     )
-    allowed = list(required)
-    if not single_sequence:
-        allowed.append("seq_b")
-    if family == "complete-r-lah-bell":
-        allowed.append("x")
-    _refuse(parser, args, ["k", "r", "x", "seq_b"], allowed)
-
-    query: dict = {"family": family, "n": args.n}
-    for name in required:
-        query[name] = getattr(args, name)
-    if args.seq_a is not None:
-        query["seq_a"] = args.seq_a
-    if args.seq_b is not None:
-        query["seq_b"] = args.seq_b
-
-    if family == "theorem7":
-        seq_a = _parse_sequence(parser, args.seq_a, "x")
-        seq_b = _parse_sequence(parser, args.seq_b, "y")
-        result = complete_r_lah_bell_expansion(args.n, args.r, seq_a, seq_b)
-    elif single_sequence:
-        seq_a = _parse_sequence(parser, args.seq_a, "x")
-        fn = {
-            "complete-bell": lambda: complete_bell(args.n, seq_a),
-            "incomplete-bell": lambda: incomplete_bell(args.n, args.k, seq_a),
-            "complete-lah-bell": lambda: complete_lah_bell(args.n, seq_a),
-            "incomplete-lah-bell": lambda: incomplete_lah_bell(args.n, args.k, seq_a),
-        }[family]
-        result = fn()
-    else:
-        seq_a = _parse_sequence(parser, args.seq_a, "a")
-        seq_b = _parse_sequence(parser, args.seq_b, "b")
-        if family == "incomplete-r-lah-bell":
-            result = incomplete_r_lah_bell(args.n, args.k, args.r, seq_a, seq_b)
-        else:
-            x = var(SCALAR_X) if args.x is None else args.x
-            if args.x is not None:
-                query["x"] = args.x
-            result = complete_r_lah_bell(args.n, args.r, x, seq_a, seq_b)
-
-    return {"kind": "polynomial", "query": query, "poly": result}
+    specs = [
+        _parse_sequence(parser, getattr(args, flag), name)
+        for flag, name in zip(("seq_a", "seq_b"), names)
+    ]
+    return {"kind": "polynomial", "query": query, "poly": compute(args, *specs)}
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:

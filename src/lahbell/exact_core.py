@@ -1,9 +1,9 @@
 """Exact integer kernels for ordered-block partition counting.
 
 Everything here returns plain Python ints, so there is no overflow and no
-rounding anywhere.  Rational values never escape the package: the few
-computations elsewhere that pass through fractions assert an integral result
-at the boundary and raise IntegralityError otherwise.
+rounding anywhere.  No computation in the package uses rational arithmetic:
+every quotient goes through exact_div, which raises IntegralityError when the
+division is not exact.
 """
 
 from __future__ import annotations

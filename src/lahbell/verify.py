@@ -290,111 +290,74 @@ def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
 def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
     suite = "series-oracle"
     bounds = f"n<={n_max}, k<=n, r<={r_max}"
-    results = []
+    x = var(SCALAR_X)
+    a, b = _sym("a"), _sym("b")
+    ks, rs, rhos = range(n_max + 1), range(r_max + 1), range(2 * r_max + 1)
 
-    def compare(identity: str, pairs) -> None:
-        for where, got, want in pairs:
-            if got != want:
-                results.append(
-                    _fail(suite, identity, bounds, f"{where}: {_shown(got)} vs {_shown(want)}")
-                )
-                return
-        results.append(_ok(suite, identity, bounds))
-
-    core = from_sequence(ONES, "ordinary", 1, n_max)
-    geometric = from_sequence(ONES, "ordinary", 0, n_max)
-
-    def triangle_pairs():
-        power = series.one(n_max)
-        for k in range(n_max + 1):
-            if k:
-                power = power * core
-            base = power.divide_exact(factorial(k))
-            for r in range(r_max + 1):
-                full = base * geometric.pow(2 * r)
-                for n in range(n_max + 1):
-                    want = const(rlah(n, k, r)) if n >= k else const(0)
-                    yield f"n={n} k={k} r={r}", full.egf_coefficient(n), want
-
-    compare("triangle series match the closed forms", triangle_pairs())
-
-    def total_pairs():
-        expo = series.exp(core)
-        for r in range(r_max + 1):
-            full = expo * geometric.pow(2 * r)
+    def compare(identity: str, family: str, grid: list[dict], fixed: dict, want) -> IdentityResult:
+        """gf_expand(family) at each grid point against want(n, **point) for n <= n_max."""
+        for point in grid:
+            got = gf_expand(family, n_max, **point, **fixed)
             for n in range(n_max + 1):
-                yield f"n={n} r={r}", full.egf_coefficient(n), const(r_lah_bell_number(n, r))
+                expected = want(n, **point)
+                if got[n] != expected:
+                    where = " ".join(f"{name}={value}" for name, value in {"n": n, **point}.items())
+                    return _fail(
+                        suite, identity, bounds, f"{where}: {_shown(got[n])} vs {_shown(expected)}"
+                    )
+        return _ok(suite, identity, bounds)
 
-    compare("row-total series match the closed forms", total_pairs())
-
-    def row_poly_pairs():
-        x = var(SCALAR_X)
-        expo = series.exp(core.scale(x))
-        for r in range(r_max + 1):
-            full = expo * geometric.pow(2 * r)
-            for n in range(n_max + 1):
-                yield f"n={n} r={r}", full.egf_coefficient(n), lah_bell_polynomial(n, r, x)
-
-    compare("scalar-argument series match the row polynomials", row_poly_pairs())
-
-    def generic_pairs():
-        aser = from_sequence(_sym("a"), "ordinary", 1, n_max)
-        bser = from_sequence(_sym("b"), "ordinary", 0, n_max)
-        power = series.one(n_max)
-        for k in range(n_max + 1):
-            if k:
-                power = power * aser
-            base = power.divide_exact(factorial(k))
-            for r in range(r_max + 1):
-                full = base * bser.pow(2 * r)
-                for n in range(n_max + 1):
-                    want = incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b"))
-                    yield f"n={n} k={k} r={r}", full.egf_coefficient(n), want
-
-    compare("generic ordinary series match the witness sums", generic_pairs())
-
-    def generic_complete_pairs():
-        x = var(SCALAR_X)
-        aser = from_sequence(_sym("a"), "ordinary", 1, n_max)
-        bser = from_sequence(_sym("b"), "ordinary", 0, n_max)
-        expo = series.exp(aser.scale(x))
-        for r in range(r_max + 1):
-            full = expo * bser.pow(2 * r)
-            for n in range(n_max + 1):
-                want = complete_r_lah_bell(n, r, x, _sym("a"), _sym("b"))
-                yield f"n={n} r={r}", full.egf_coefficient(n), want
-
-    compare("generic complete series match the witness sums", generic_complete_pairs())
-
-    def egf_generic_pairs():
-        aser = from_sequence(_sym("a"), "egf", 1, n_max)
-        bser = from_sequence(_sym("b"), "egf", 0, n_max)
-        power = series.one(n_max)
-        for k in range(n_max + 1):
-            if k:
-                power = power * aser
-            base = power.divide_exact(factorial(k))
-            for rho in range(2 * r_max + 1):
-                full = base * bser.pow(rho)
-                for n in range(n_max + 1):
-                    want = incomplete_r_bell(n, k, rho, _sym("a"), _sym("b"))
-                    yield f"n={n} k={k} rho={rho}", full.egf_coefficient(n), want
-
-    compare("generic egf series match the fractional witness sums", egf_generic_pairs())
-
-    def egf_complete_pairs():
-        aser = from_sequence(_sym("a"), "egf", 1, n_max)
-        bser = from_sequence(_sym("b"), "egf", 0, n_max)
-        expo = series.exp(aser)
-        for rho in range(2 * r_max + 1):
-            full = expo * bser.pow(rho)
-            for n in range(n_max + 1):
-                want = complete_r_bell(n, rho, _sym("a"), _sym("b"))
-                yield f"n={n} rho={rho}", full.egf_coefficient(n), want
-
-    compare("complete egf series match the fractional witness sums", egf_complete_pairs())
-
-    return results
+    return [
+        compare(
+            "triangle series match the closed forms",
+            "r-lah",
+            [{"k": k, "r": r} for k in ks for r in rs],
+            {},
+            lambda n, k, r: const(rlah(n, k, r)) if n >= k else const(0),
+        ),
+        compare(
+            "row-total series match the closed forms",
+            "r-lah-bell",
+            [{"r": r} for r in rs],
+            {},
+            lambda n, r: const(r_lah_bell_number(n, r)),
+        ),
+        compare(
+            "scalar-argument series match the row polynomials",
+            "r-lah-bell-poly",
+            [{"r": r} for r in rs],
+            {"x": x},
+            lambda n, r: lah_bell_polynomial(n, r, x),
+        ),
+        compare(
+            "generic ordinary series match the witness sums",
+            "incomplete-generic",
+            [{"k": k, "r": r} for k in ks for r in rs],
+            {"a": a, "b": b},
+            lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
+        ),
+        compare(
+            "generic complete series match the witness sums",
+            "complete-generic",
+            [{"r": r} for r in rs],
+            {"x": x, "a": a, "b": b},
+            lambda n, r: complete_r_lah_bell(n, r, x, a, b),
+        ),
+        compare(
+            "generic egf series match the fractional witness sums",
+            "incomplete-r-bell",
+            [{"k": k, "rho": rho} for k in ks for rho in rhos],
+            {"a": a, "b": b},
+            lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
+        ),
+        compare(
+            "complete egf series match the fractional witness sums",
+            "complete-r-bell",
+            [{"rho": rho} for rho in rhos],
+            {"a": a, "b": b},
+            lambda n, rho: complete_r_bell(n, rho, a, b),
+        ),
+    ]
 
 
 _SUITES: dict[str, Callable[[int, int], list[IdentityResult]]] = {

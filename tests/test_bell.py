@@ -27,7 +27,7 @@ from lahbell.bell import (
     lah_bell_polynomial,
     moments_from_cumulants,
 )
-from lahbell.exact_core import IntegralityError, binomial, factorial, lah, rlah
+from lahbell.exact_core import binomial, factorial, lah, rlah
 from lahbell.poly import SCALAR_X, Variable, const, var
 
 X = SequenceSpec.symbolic("x")

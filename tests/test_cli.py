@@ -1,9 +1,13 @@
 """Command-line behaviour: golden output, formats, exit codes."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lahbell import cli
 from lahbell.exact_core import IntegralityError
@@ -43,6 +47,32 @@ GOLDEN_CASES = [
     ),
     (["poly", "complete-r-lah-bell", "--n", "5", "--r", "2"], "poly_complete_r_lah_bell_n5_r2.txt"),
     (["poly", "theorem7", "--n", "4", "--r", "1", "--format", "json"], "poly_theorem7_n4_r1.json"),
+    (["value", "lah", "--n", "4", "--k", "2", "--format", "json"], "value_lah_n4_k2.json"),
+    (["value", "rlah", "--n", "3", "--k", "1", "--r", "1", "--format", "json"], "value_rlah_n3_k1_r1.json"),
+    (["value", "lah-bell", "--n", "3", "--format", "json"], "value_lah_bell_n3.json"),
+    (["value", "r-lah-bell", "--n", "2", "--r", "1", "--format", "json"], "value_r_lah_bell_n2_r1.json"),
+    (
+        ["value", "lah-bell-poly", "--n", "2", "--r", "1", "--x", "3", "--format", "json"],
+        "value_lah_bell_poly_n2_r1_x3.json",
+    ),
+    (["table", "rlah", "--n-max", "2", "--r", "1", "--format", "json"], "table_rlah_r1_nmax2.json"),
+    (["table", "lah-bell", "--n-max", "3", "--format", "json"], "table_lah_bell_nmax3.json"),
+    (
+        ["table", "r-lah-bell", "--n-max", "2", "--r", "1", "--format", "json"],
+        "table_r_lah_bell_r1_nmax2.json",
+    ),
+    (
+        ["poly", "incomplete-bell", "--n", "3", "--k", "2", "--seq-a", "factorials", "--format", "json"],
+        "poly_incomplete_bell_n3_k2_factorials.json",
+    ),
+    # pins the query key order: seq_a, seq_b, then x
+    (
+        [
+            "poly", "complete-r-lah-bell", "--n", "2", "--r", "1", "--x", "3",
+            "--seq-a", "ones", "--seq-b", "1,2,3", "--format", "json",
+        ],
+        "poly_complete_r_lah_bell_n2_r1_x3.json",
+    ),
 ]
 
 
@@ -217,3 +247,60 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert cli.main(["table", "--help"]) == 0
     capsys.readouterr()
+
+
+_FUZZ_FAMILIES = {
+    "table": ("lah", "rlah", "lah-bell", "r-lah-bell"),
+    "value": ("lah", "rlah", "lah-bell", "r-lah-bell", "lah-bell-poly"),
+    "poly": (
+        "complete-bell", "incomplete-bell", "complete-lah-bell", "incomplete-lah-bell",
+        "incomplete-r-lah-bell", "complete-r-lah-bell", "theorem7",
+    ),
+    "verify": (),
+}
+
+
+def _tokens(lo, hi):
+    """Small integers as argv tokens, with a few malformed ones mixed in."""
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)] * 4 + ["", "x", "1.5", "--n"])
+
+
+_SEQUENCES = ["ones", "factorials", "symbolic", "1,2,3", "1,2", "3,-1,0,2,2,2,2", "1,,2", "a"]
+# --r stays at most 3: the work of theorem7 grows with the compositions into
+# 2r parts, and r = 6 at n = 6 costs more than the rest of the run
+_FUZZ_FLAGS = {
+    "--n": _tokens(-1, 6),
+    "--n-max": _tokens(-1, 6),
+    "--k": _tokens(-1, 6),
+    "--r": _tokens(-1, 3),
+    "--x": _tokens(-3, 3),
+    "--seq-a": st.sampled_from(_SEQUENCES),
+    "--seq-b": st.sampled_from(_SEQUENCES),
+    "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from([*_FUZZ_FAMILIES] * 4 + ["nope"]))
+    argv = [command]
+    if _FUZZ_FAMILIES.get(command):
+        argv.append(draw(st.sampled_from(_FUZZ_FAMILIES[command] * 4 + ("nope",))))
+    # the size flag comes first and usually, so that many draws get past argparse
+    size = "--n" if command in ("value", "poly") else "--n-max"
+    flags = draw(st.lists(st.sampled_from(list(_FUZZ_FLAGS)), unique=True, max_size=4))
+    if size not in flags and draw(st.integers(0, 9)) < 9:
+        flags.insert(0, size)
+    for flag in flags:
+        argv += [flag, draw(_FUZZ_FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_argv())
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

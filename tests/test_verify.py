@@ -2,6 +2,7 @@
 
 import pytest
 
+from lahbell import verify
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
 
 
@@ -46,3 +47,23 @@ def test_bad_arguments_rejected():
 def test_tiny_bounds_still_run():
     results = run_suites("all", 0, 0)
     assert all(item.passed for item in results)
+
+
+@pytest.mark.parametrize(
+    "name,identity,counterexample",
+    [
+        ("rlah", "triangle series match the closed forms", "n=0 k=0 r=0: 1 vs 2"),
+        (
+            "incomplete_r_bell",
+            "generic egf series match the fractional witness sums",
+            "n=0 k=0 rho=0: 1 vs 2",
+        ),
+    ],
+)
+def test_series_oracle_reports_the_broken_route(monkeypatch, name, identity, counterexample):
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: original(*args) + 1)
+    results = run_suites("series-oracle", 3, 1)
+    assert len(results) == 7
+    failed = [item for item in results if not item.passed]
+    assert [(item.identity, item.counterexample) for item in failed] == [(identity, counterexample)]
