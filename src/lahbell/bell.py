@@ -23,6 +23,10 @@ complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
 incomplete polynomials over k stays a comparison of two enumerations.
+complete_r_lah_bell_expansion has no term loop of its own: it weights
+complete_lah_bell(k, xs) by n!/k! and by a composition sum over ys, so
+comparing it with complete_r_lah_bell, which sums over paired witnesses,
+still sets two different sums against each other.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_core import exact_div, factorial, factorials_upto, rlah
+from .exact_core import _check_nonnegative, exact_div, factorial, factorials_upto, rlah
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
@@ -187,8 +191,7 @@ def _witness_sum(
     form a block type m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i!
     divides n!, k_i! divides m_i!, and prod r_i! divides rho!.
     """
-    if n < 0 or rho < 0:
-        raise ValueError(f"n and rho must be nonnegative, got n={n}, rho={rho}")
+    _check_nonnegative(n=n, rho=rho)
     facts = factorials_upto(max(n, rho))
     a_factors = _Factors(a, 0, facts, block_weights)
     b_factors = _Factors(b, 1, facts, block_weights)
@@ -263,6 +266,7 @@ def incomplete_r_bell(
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
     """Sum of incomplete_r_bell(n, k, rho, a, b) over k = 0..n."""
+    _check_nonnegative(n=n, rho=rho)
     total = PolyAccumulator()
     for k in range(n + 1):
         total.add(incomplete_r_bell(n, k, rho, a, b))
@@ -306,6 +310,7 @@ def complete_r_lah_bell(
     b: SequenceSpec,
 ) -> SparsePolynomial:
     """Sum over k of x^k times incomplete_r_lah_bell(n, k, r, a, b)."""
+    _check_nonnegative(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
@@ -321,6 +326,7 @@ def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> Spar
     Computed straight from the closed-form numbers, independently of the
     witness sums, so it can serve as an oracle for them.
     """
+    _check_nonnegative(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
@@ -338,33 +344,20 @@ def complete_r_lah_bell_expansion(
     n! times the sum over k = 0..n of, for every multiplicity vector m with
     sum(i * m_i) = k, the term prod xs(i)^m_i / prod(m_i!), times, for every
     ordered 2r-tuple (l_1, ..., l_2r) summing to n - k, the factor
-    prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.  The
-    coefficient n!/prod(m_i!) is an integer, since prod m_i! divides k!.
+    prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.  As
+    n!/prod(m_i!) = (n!/k!) * k!/prod(m_i!), the sum over m is n!/k! times
+    complete_lah_bell(k, xs).
     """
+    _check_nonnegative(n=n, r=r)
     acc = PolyAccumulator()
     facts = factorials_upto(n)
-    nf = facts[n]
-    x_factors = _Factors(xs, 0, facts, block_weights=False)
     for k in range(n + 1):
         ytotals = PolyAccumulator()
         for comp in _compositions(n - k, 2 * r):
-            ypoly = ONE
-            for l in comp:
-                ypoly = ypoly * ys.at(l + 1)
-            ytotals.add(ypoly)
+            ytotals.add(product([ys.at(l + 1) for l in comp]))
         ypart = ytotals.build()
-        if ypart.is_zero:
-            continue
-        for m in _exponent_vectors(k):
-            powers = []
-            denom = 1
-            for i, v in enumerate(m, 1):
-                if v:
-                    power, weight = x_factors[i, v]
-                    powers.append(power)
-                    denom *= weight
-            powers.append(ypart)
-            acc.add(product(powers), exact_div(nf, denom))
+        if not ypart.is_zero:
+            acc.add(complete_lah_bell(k, xs) * ypart, exact_div(facts[n], facts[k]))
     return acc.build()
 
 

@@ -108,9 +108,11 @@ def rlah(n: int, k: int, r: int) -> int:
 
 def lah_bell_number(n: int) -> int:
     """Total number of ordered-block partitions of an n-set: sum of lah(n, k)."""
+    _check_nonnegative(n=n)
     return sum(lah(n, k) for k in range(n + 1))
 
 
 def r_lah_bell_number(n: int, r: int) -> int:
     """Row total of the r-extended triangle: sum of rlah(n, k, r) over k."""
+    _check_nonnegative(n=n, r=r)
     return sum(rlah(n, k, r) for k in range(n + 1))

@@ -14,14 +14,20 @@ lexicographic order on the dense tuple read from the lowest index upward
 (k-part first, then r-part), so streams are reproducible and suitable for
 golden tests.
 
-The enumerators fill slots from the lowest index upward and stop as soon as
-no units are left: every later slot is then forced to zero, so the witness
-is complete.  Pruning changes only how deep the recursion goes, never which
-witnesses come out or in what order.  The r-parts that complete a k-part
-depend only on the weight it leaves, so enumerate_lambda lists them once per
-weight within one call and pairs each k-part with that list.  Paired
-witnesses are built from slices that already end in a nonzero entry, so the
-enumerator skips the trimming that the public LambdaWitness constructor does.
+One private generator, _paired_parts, produces both streams as trimmed
+(k_part, r_part) tuples: enumerate_lambda wraps them as LambdaWitness, and
+enumerate_pi takes the rho = 0 stream, whose r-parts are empty, and pads
+each k-part to length n - k + 1.  The generator fills slots from the lowest
+index upward and stops as soon as no units are left: every later slot is
+then forced to zero, so the witness is complete.  No slot index exceeds
+n - k + 1, because the other k - 1 blocks weigh at least 1 each, and the
+feasibility bounds use that cap.  Pruning changes only how deep the
+recursion goes, never which witnesses come out or in what order.  The
+r-parts that complete a k-part depend only on the weight it leaves, so they
+are listed once per weight within one call and paired with each such
+k-part.  The tuples are slices that already end in a nonzero entry, so
+enumerate_lambda skips the trimming that the public LambdaWitness
+constructor does.
 """
 
 from __future__ import annotations
@@ -79,54 +85,18 @@ class LambdaWitness:
         return obj
 
 
-def enumerate_pi(n: int, k: int) -> Iterator[PiWitness]:
-    """Yield every PiWitness for (n, k), largest-first lexicographically.
-
-    The stream is empty when k > n, and holds the single all-zero witness
-    when n = k = 0.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if k > n:
-        return
-    if k == 0:
-        if n == 0:
-            yield PiWitness((0,))
-        return
-    length = n - k + 1
-    buf = [0] * length
-
-    def rec(pos: int, units: int, weight: int) -> Iterator[PiWitness]:
-        # units > 0; the slots after pos are zero in buf
-        for v in range(min(units, weight // pos), -1, -1):
-            rest_units = units - v
-            rest_weight = weight - v * pos
-            # remaining slots sit at indices pos+1..length
-            if rest_weight > rest_units * length or rest_weight < rest_units * (pos + 1):
-                continue
-            buf[pos - 1] = v
-            if rest_units:
-                yield from rec(pos + 1, rest_units, rest_weight)
-            else:
-                yield PiWitness(tuple(buf))
-        buf[pos - 1] = 0
-
-    yield from rec(1, k, n)
+_Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
-    """Yield every LambdaWitness for (n, k, rho), largest-first as documented.
-
-    Empty when k > n.  For rho = 0 the r-part is forced to all zeros; for
-    n = k = 0 the stream holds the single witness with r_0 = rho.
-    """
+def _paired_parts(n: int, k: int, rho: int) -> Iterator[_Parts]:
+    """Trimmed (k_part, r_part) tuples for (n, k, rho), in stream order."""
     if n < 0 or k < 0 or rho < 0:
         raise ValueError("n, k and rho must be nonnegative")
     if k > n:
         return
-    kbuf = [0] * n
-    rbuf = [0] * (n + 1)
-    make = LambdaWitness._trusted
+    cap = n - k + 1
+    kbuf = [0] * cap
+    rbuf = [0] * cap
 
     def rec_r(i: int, units: int, weight: int) -> Iterator[tuple[int, ...]]:
         # units > 0; the r-slots after i are zero in rbuf
@@ -134,7 +104,7 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
         for v in range(hi, -1, -1):
             rest_units = units - v
             rest_weight = weight - v * i
-            if rest_weight > rest_units * n or rest_weight < rest_units * (i + 1):
+            if rest_weight > rest_units * cap or rest_weight < rest_units * (i + 1):
                 continue
             rbuf[i] = v
             if rest_units:
@@ -147,7 +117,7 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
     # same weight takes the same list, so each is enumerated once per call
     r_parts: dict[int, list[tuple[int, ...]]] = {}
 
-    def r_side(k_part: tuple[int, ...], weight: int) -> Iterator[LambdaWitness]:
+    def r_side(k_part: tuple[int, ...], weight: int) -> Iterator[_Parts]:
         parts = r_parts.get(weight)
         if parts is None:
             if rho:
@@ -156,19 +126,19 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
                 parts = [()] if weight == 0 else []
             r_parts[weight] = parts
         for r_part in parts:
-            yield make(k_part, r_part)
+            yield k_part, r_part
 
-    def rec_k(i: int, units: int, weight: int) -> Iterator[LambdaWitness]:
+    def rec_k(i: int, units: int, weight: int) -> Iterator[_Parts]:
         # units > 0; the k-slots after i are zero in kbuf
         for v in range(min(units, weight // i), -1, -1):
             rest_units = units - v
             rest_weight = weight - v * i
-            if rest_weight > (rest_units + rho) * n or rest_weight < rest_units * (i + 1):
+            if rest_weight > (rest_units + rho) * cap or rest_weight < rest_units * (i + 1):
                 continue
             kbuf[i - 1] = v
             if not rest_units:
                 yield from r_side(tuple(kbuf[:i]), rest_weight)
-            elif i < n:
+            elif i < cap:
                 yield from rec_k(i + 1, rest_units, rest_weight)
         kbuf[i - 1] = 0
 
@@ -176,6 +146,30 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
         yield from rec_k(1, k, n)
     else:
         yield from r_side((), n)
+
+
+def enumerate_pi(n: int, k: int) -> Iterator[PiWitness]:
+    """Yield every PiWitness for (n, k), largest-first lexicographically.
+
+    The stream is empty when k > n, and holds the single all-zero witness
+    when n = k = 0.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    length = n - k + 1
+    for k_part, _ in _paired_parts(n, k, 0):
+        yield PiWitness(k_part + (0,) * (length - len(k_part)))
+
+
+def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
+    """Yield every LambdaWitness for (n, k, rho), largest-first as documented.
+
+    Empty when k > n.  For rho = 0 the r-part is forced to all zeros; for
+    n = k = 0 the stream holds the single witness with r_0 = rho.
+    """
+    make = LambdaWitness._trusted
+    for k_part, r_part in _paired_parts(n, k, rho):
+        yield make(k_part, r_part)
 
 
 def lah_via_pi(n: int, k: int) -> int:

@@ -199,7 +199,8 @@ def gf_expand(
       incomplete-r-bell   (k, rho, a, b)  (1/k!) A(t)^k B(t)^rho, egf A, B
       complete-r-bell     (rho, a, b)     exp(A(t)) B(t)^rho,     egf A, B
 
-    where A lays the a-sequence from t^1 and B lays the b-sequence from t^0.
+    where A lays the a-sequence (ones if not given) from t^1 and B lays the
+    b-sequence (ones if not given) from t^0.
     Missing or extra parameters raise ValueError.
     """
     if family not in GF_FAMILIES:
@@ -215,38 +216,18 @@ def gf_expand(
             f"family {family!r} takes parameters {sorted(required)}, got {sorted(provided)}"
         )
 
-    def core() -> TruncatedSeries:
-        return from_sequence(ONES, "ordinary", 1, order)
-
-    def geometric() -> TruncatedSeries:
-        return from_sequence(ONES, "ordinary", 0, order)
-
-    if family == "lah-bell":
-        s = exp(core())
-    elif family == "r-lah-bell":
-        s = exp(core()) * geometric().pow(2 * r)
-    elif family == "lah":
-        s = core().pow(k).divide_exact(factorial(k))
-    elif family == "r-lah":
-        s = core().pow(k).divide_exact(factorial(k)) * geometric().pow(2 * r)
-    elif family == "r-lah-bell-poly":
-        s = exp(core().scale(x)) * geometric().pow(2 * r)
-    elif family == "incomplete-generic":
-        aser = from_sequence(a, "ordinary", 1, order)
-        bser = from_sequence(b, "ordinary", 0, order)
-        s = aser.pow(k).divide_exact(factorial(k)) * bser.pow(2 * r)
-    elif family == "complete-generic":
-        aser = from_sequence(a, "ordinary", 1, order)
-        bser = from_sequence(b, "ordinary", 0, order)
-        s = exp(aser.scale(x)) * bser.pow(2 * r)
-    elif family == "incomplete-r-bell":
-        aser = from_sequence(a, "egf", 1, order)
-        bser = from_sequence(b, "egf", 0, order)
-        s = aser.pow(k).divide_exact(factorial(k)) * bser.pow(rho)
-    else:  # complete-r-bell
-        aser = from_sequence(a, "egf", 1, order)
-        bser = from_sequence(b, "egf", 0, order)
-        s = exp(aser) * bser.pow(rho)
+    # Every family has one of two shapes, A^k/k! * B^m or exp(x A) * B^m: k
+    # picks the head, r (m = 2r) or rho (m = rho) brings the tail, and the
+    # families that take rho lay A and B on the egf lattice.
+    kind = "ordinary" if rho is None else "egf"
+    s = from_sequence(ONES if a is None else a, kind, 1, order)
+    if k is not None:
+        s = s.pow(k).divide_exact(factorial(k))
+    else:
+        s = exp(s if x is None else s.scale(x))
+    if r is not None or rho is not None:
+        bser = from_sequence(ONES if b is None else b, kind, 0, order)
+        s = s * bser.pow(2 * r if rho is None else rho)
     return [s.egf_coefficient(n) for n in range(order + 1)]
 
 

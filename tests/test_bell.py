@@ -27,7 +27,14 @@ from lahbell.bell import (
     lah_bell_polynomial,
     moments_from_cumulants,
 )
-from lahbell.exact_core import binomial, factorial, lah, rlah
+from lahbell.exact_core import (
+    binomial,
+    factorial,
+    lah,
+    lah_bell_number,
+    r_lah_bell_number,
+    rlah,
+)
 from lahbell.poly import SCALAR_X, Variable, const, var
 
 X = SequenceSpec.symbolic("x")
@@ -346,3 +353,29 @@ def test_rejects_bad_arguments():
         incomplete_r_bell(2, 1, -1, A, B)
     with pytest.raises(ValueError):
         complete_r_lah_bell(2, -1, 1, A, B)
+
+
+# Row sums loop over k = 0..n, where a negative n gives an empty sum, so they
+# check their arguments themselves, like every other entry point.
+NEGATIVE_ROW_SUMS = [
+    (lah_bell_number, (-2,)),
+    (r_lah_bell_number, (-2, 1)),
+    (r_lah_bell_number, (-2, -1)),
+    (lah_bell_polynomial, (-1, 0, 1)),
+    (lah_bell_polynomial, (-1, -1, 1)),
+    (complete_r_bell, (-1, 0, A, B)),
+    (complete_r_bell, (-1, -2, A, B)),
+    (complete_r_lah_bell, (-1, 1, 1, A, B)),
+    (complete_r_lah_bell, (-1, -1, 1, A, B)),
+    (complete_r_lah_bell_expansion, (0, -1, X, B)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    NEGATIVE_ROW_SUMS,
+    ids=[f"{fn.__name__}({', '.join(map(str, args[:2]))})" for fn, args in NEGATIVE_ROW_SUMS],
+)
+def test_row_sums_reject_negative_arguments(fn, args):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        fn(*args)

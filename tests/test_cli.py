@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +307,21 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv):
         code = cli.main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_module_form_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lahbell.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    done = module("value", "lah", "--n", "4", "--k", "2")
+    assert (done.returncode, done.stdout) == (0, "36\n")
+    refused = module("value", "lah", "--n", "4")
+    assert refused.returncode == 2 and "--k is required" in refused.stderr
