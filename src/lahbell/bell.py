@@ -24,9 +24,10 @@ _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
 incomplete polynomials over k stays a comparison of two enumerations.
 complete_r_lah_bell_expansion has no term loop of its own: it weights
-complete_lah_bell(k, xs) by n!/k! and by a composition sum over ys, so
-comparing it with complete_r_lah_bell, which sums over paired witnesses,
-still sets two different sums against each other.
+complete_lah_bell(k, xs) by n!/k! and by a composition sum over ys, which
+it reads off one truncated power of the ys series, so comparing it with
+complete_r_lah_bell, which sums over paired witnesses, still sets two
+different sums against each other.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .exact_core import _check_nonnegative, exact_div, factorial, factorials_upt
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
+    ZERO,
     PolyAccumulator,
     SparsePolynomial,
     Variable,
@@ -90,7 +92,11 @@ class SequenceSpec:
 
     @staticmethod
     def explicit(values: Sequence[int]) -> "SequenceSpec":
-        return SequenceSpec("explicit", values=tuple(values))
+        values = tuple(values)
+        for value in values:
+            if not isinstance(value, int):
+                raise TypeError(f"sequence values must be int, got {type(value).__name__}")
+        return SequenceSpec("explicit", values=values)
 
     @staticmethod
     def symbolic(family: str) -> "SequenceSpec":
@@ -214,20 +220,6 @@ def _witness_sum(
     return acc.build()
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of `parts` nonnegative ints summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     """Partial Bell polynomial: sum over (n, k) block-size witnesses of
     n!/(prod j_i! * prod (i!)^j_i) times prod xs(i)^j_i.
@@ -346,16 +338,24 @@ def complete_r_lah_bell_expansion(
     ordered 2r-tuple (l_1, ..., l_2r) summing to n - k, the factor
     prod ys(l_j + 1).  Agrees with complete_r_lah_bell at x = 1.  As
     n!/prod(m_i!) = (n!/k!) * k!/prod(m_i!), the sum over m is n!/k! times
-    complete_lah_bell(k, xs).
+    complete_lah_bell(k, xs).  The sum over tuples is the t^(n-k) coefficient
+    of (sum_l ys(l+1) t^l)^(2r), one truncated series power for every k.
     """
     _check_nonnegative(n=n, r=r)
+    # ys(1..n+1), top index first, so a too-short explicit ys fails at n + 1
+    ybase = [ys.at(l + 1) for l in range(n, -1, -1)][::-1] if r else []
+    ysums = [ONE] + [ZERO] * n
+    for _ in range(2 * r):
+        power = [PolyAccumulator() for _ in range(n + 1)]
+        for i, y in enumerate(ysums):
+            if not y.is_zero:
+                for l in range(n + 1 - i):
+                    power[i + l].add(y * ybase[l])
+        ysums = [p.build() for p in power]
     acc = PolyAccumulator()
     facts = factorials_upto(n)
     for k in range(n + 1):
-        ytotals = PolyAccumulator()
-        for comp in _compositions(n - k, 2 * r):
-            ytotals.add(product([ys.at(l + 1) for l in comp]))
-        ypart = ytotals.build()
+        ypart = ysums[n - k]
         if not ypart.is_zero:
             acc.add(complete_lah_bell(k, xs) * ypart, exact_div(facts[n], facts[k]))
     return acc.build()

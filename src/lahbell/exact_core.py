@@ -3,7 +3,8 @@
 Everything here returns plain Python ints, so there is no overflow and no
 rounding anywhere.  No computation in the package uses rational arithmetic:
 every quotient goes through exact_div, which raises IntegralityError when the
-division is not exact.
+division is not exact.  The closed form rlah needs none: it takes n!/k! as a
+falling product, and lah and lah_bell_number are its r = 0 cases.
 """
 
 from __future__ import annotations
@@ -80,15 +81,10 @@ def multinomial(parts: Iterable[int]) -> int:
 def lah(n: int, k: int) -> int:
     """Ways to split an n-set into k nonempty linearly ordered blocks.
 
-    Closed form (n!/k!) * C(n-1, k-1).  Conventions: lah(0, 0) = 1,
-    lah(n, 0) = 0 for n >= 1, and lah(n, k) = 0 for k > n.
+    rlah at r = 0.  Conventions: lah(0, 0) = 1, lah(n, 0) = 0 for n >= 1,
+    and lah(n, k) = 0 for k > n.
     """
-    _check_nonnegative(n=n, k=k)
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    return exact_div(factorial(n), factorial(k)) * binomial(n - 1, k - 1)
+    return rlah(n, k, 0)
 
 
 def rlah(n: int, k: int, r: int) -> int:
@@ -96,20 +92,20 @@ def rlah(n: int, k: int, r: int) -> int:
 
     Counts partitions of an (n+r)-set into k+r nonempty linearly ordered
     blocks such that the r distinguished elements land in distinct blocks.
-    Closed form (n!/k!) * C(n+2r-1, k+2r-1); agrees with lah when r = 0.
+    Closed form (n!/k!) * C(n+2r-1, k+2r-1), n!/k! being the falling product
+    n(n-1)...(k+1).  binomial, unlike math.comb, gives 0 for k = 0 at r = 0.
     """
     _check_nonnegative(n=n, k=k, r=r)
     if k > n:
         return 0
-    if r == 0:
-        return lah(n, k)
-    return exact_div(factorial(n), factorial(k)) * binomial(n + 2 * r - 1, k + 2 * r - 1)
+    if n == 0:
+        return 1
+    return math.perm(n, n - k) * binomial(n + 2 * r - 1, k + 2 * r - 1)
 
 
 def lah_bell_number(n: int) -> int:
     """Total number of ordered-block partitions of an n-set: sum of lah(n, k)."""
-    _check_nonnegative(n=n)
-    return sum(lah(n, k) for k in range(n + 1))
+    return r_lah_bell_number(n, 0)
 
 
 def r_lah_bell_number(n: int, r: int) -> int:

@@ -253,6 +253,7 @@ class SparsePolynomial:
         for mono, coeff in pairs:
             if not isinstance(mono, Monomial):
                 raise TypeError("polynomial keys must be Monomial")
+            _check_coefficient(coeff)
             if coeff:
                 total = data.get(mono, 0) + coeff
                 if total:
@@ -498,8 +499,14 @@ class PolyAccumulator:
         return built
 
 
+def _check_coefficient(value: int) -> None:
+    if not isinstance(value, int):
+        raise TypeError(f"polynomial coefficients must be int, got {type(value).__name__}")
+
+
 def const(value: int) -> SparsePolynomial:
     """The constant polynomial with the given integer value."""
+    _check_coefficient(value)
     if value == 0:
         return SparsePolynomial._raw({})
     return SparsePolynomial._raw({_UNIT: value})

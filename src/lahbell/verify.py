@@ -8,10 +8,10 @@ per identity with the first counterexample when a comparison fails.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from . import series
 from .bell import (
     FACTORIALS,
     ONES,
@@ -30,7 +30,7 @@ from .bell import (
 from .exact_core import factorial, lah, lah_bell_number, r_lah_bell_number, rlah
 from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import SCALAR_X, SparsePolynomial, Variable, const, var
-from .series import faa_di_bruno_check, from_sequence, gf_expand
+from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
@@ -64,11 +64,11 @@ def _sym(family: str) -> SequenceSpec:
 def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
     suite, bounds = "theorem1", f"n<={n_max}"
     identity = "ordered-partition totals: closed form vs factorial Bell sum vs series"
-    s = series.exp(from_sequence(ONES, "ordinary", 1, n_max))
+    series_values = gf_expand("lah-bell", n_max)
     for n in range(n_max + 1):
         closed = lah_bell_number(n)
         bell_route = complete_bell(n, FACTORIALS)
-        series_route = s.egf_coefficient(n)
+        series_route = series_values[n]
         if bell_route != const(closed) or series_route != const(closed):
             return [
                 _fail(
@@ -292,14 +292,20 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
     bounds = f"n<={n_max}, k<=n, r<={r_max}"
     x = var(SCALAR_X)
     a, b = _sym("a"), _sym("b")
-    ks, rs, rhos = range(n_max + 1), range(r_max + 1), range(2 * r_max + 1)
+    sweeps = {"k": range(n_max + 1), "r": range(r_max + 1), "rho": range(2 * r_max + 1)}
+    fixed = {"x": x, "a": a, "b": b}
 
-    def compare(identity: str, family: str, grid: list[dict], fixed: dict, want) -> IdentityResult:
-        """gf_expand(family) at each grid point against want(n, **point) for n <= n_max."""
-        for point in grid:
-            got = gf_expand(family, n_max, **point, **fixed)
+    def compare(identity: str, family: str, want) -> IdentityResult:
+        """gf_expand(family) at each parameter point against want(n, *point) for n <= n_max."""
+        # The family's integer parameters are swept in GF_FAMILIES order, so k,
+        # declared first, varies slowest; x, a and b are the same at every point.
+        swept = [name for name in GF_FAMILIES[family] if name in sweeps]
+        given = {name: fixed[name] for name in GF_FAMILIES[family] if name in fixed}
+        for values in itertools.product(*(sweeps[name] for name in swept)):
+            point = dict(zip(swept, values))
+            got = gf_expand(family, n_max, **point, **given)
             for n in range(n_max + 1):
-                expected = want(n, **point)
+                expected = want(n, *values)
                 if got[n] != expected:
                     where = " ".join(f"{name}={value}" for name, value in {"n": n, **point}.items())
                     return _fail(
@@ -311,50 +317,36 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         compare(
             "triangle series match the closed forms",
             "r-lah",
-            [{"k": k, "r": r} for k in ks for r in rs],
-            {},
-            lambda n, k, r: const(rlah(n, k, r)) if n >= k else const(0),
+            lambda n, k, r: const(rlah(n, k, r)),
         ),
         compare(
             "row-total series match the closed forms",
             "r-lah-bell",
-            [{"r": r} for r in rs],
-            {},
             lambda n, r: const(r_lah_bell_number(n, r)),
         ),
         compare(
             "scalar-argument series match the row polynomials",
             "r-lah-bell-poly",
-            [{"r": r} for r in rs],
-            {"x": x},
             lambda n, r: lah_bell_polynomial(n, r, x),
         ),
         compare(
             "generic ordinary series match the witness sums",
             "incomplete-generic",
-            [{"k": k, "r": r} for k in ks for r in rs],
-            {"a": a, "b": b},
             lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
         ),
         compare(
             "generic complete series match the witness sums",
             "complete-generic",
-            [{"r": r} for r in rs],
-            {"x": x, "a": a, "b": b},
             lambda n, r: complete_r_lah_bell(n, r, x, a, b),
         ),
         compare(
             "generic egf series match the fractional witness sums",
             "incomplete-r-bell",
-            [{"k": k, "rho": rho} for k in ks for rho in rhos],
-            {"a": a, "b": b},
             lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
         ),
         compare(
             "complete egf series match the fractional witness sums",
             "complete-r-bell",
-            [{"rho": rho} for rho in rhos],
-            {"a": a, "b": b},
             lambda n, rho: complete_r_bell(n, rho, a, b),
         ),
     ]

@@ -35,7 +35,7 @@ from lahbell.exact_core import (
     r_lah_bell_number,
     rlah,
 )
-from lahbell.poly import SCALAR_X, Variable, const, var
+from lahbell.poly import SCALAR_X, Monomial, SparsePolynomial, Variable, const, term, var
 
 X = SequenceSpec.symbolic("x")
 A = SequenceSpec.symbolic("a")
@@ -379,3 +379,20 @@ NEGATIVE_ROW_SUMS = [
 def test_row_sums_reject_negative_arguments(fn, args):
     with pytest.raises(ValueError, match="must be nonnegative"):
         fn(*args)
+
+
+NOT_INTEGERS = [
+    ("explicit([1.5, 2])", lambda: SequenceSpec.explicit([1.5, 2])),
+    ("explicit([Fraction(3, 2)])", lambda: SequenceSpec.explicit([Fraction(3, 2)])),
+    ("moments_from_cumulants([1.5, 2.0], 2)", lambda: moments_from_cumulants([1.5, 2.0], 2)),
+    ("const(2.5)", lambda: const(2.5)),
+    ("const(Fraction(1, 2))", lambda: const(Fraction(1, 2))),
+    ("term(1.5, x1=1)", lambda: term(1.5, x1=1)),
+    ("SparsePolynomial([(Monomial(), 0.5)])", lambda: SparsePolynomial([(Monomial(), 0.5)])),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NOT_INTEGERS], ids=[i for i, _ in NOT_INTEGERS])
+def test_values_that_are_not_integers_are_refused(call):
+    with pytest.raises(TypeError):
+        call()

@@ -1,8 +1,13 @@
-"""Verification harness semantics: registry, bounds, result shape."""
+"""Verification harness semantics: registry, bounds, result shape, and that
+every identity reports a fault in each route it compares."""
+
+from collections import Counter
 
 import pytest
 
-from lahbell import verify
+from lahbell import series, verify
+from lahbell.poly import SparsePolynomial
+from lahbell.series import TruncatedSeries
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
 
 
@@ -49,21 +54,137 @@ def test_tiny_bounds_still_run():
     assert all(item.passed for item in results)
 
 
-@pytest.mark.parametrize(
-    "name,identity,counterexample",
-    [
-        ("rlah", "triangle series match the closed forms", "n=0 k=0 r=0: 1 vs 2"),
-        (
-            "incomplete_r_bell",
-            "generic egf series match the fractional witness sums",
-            "n=0 k=0 rho=0: 1 vs 2",
-        ),
-    ],
-)
-def test_series_oracle_reports_the_broken_route(monkeypatch, name, identity, counterexample):
-    original = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: original(*args) + 1)
-    results = run_suites("series-oracle", 3, 1)
-    assert len(results) == 7
-    failed = [item for item in results if not item.passed]
-    assert [(item.identity, item.counterexample) for item in failed] == [(identity, counterexample)]
+def _plus_one(value):
+    """value off by one: every coefficient of a series or list, else the value."""
+    if isinstance(value, TruncatedSeries):
+        return TruncatedSeries(value.order, tuple(c + 1 for c in value.coeffs))
+    if isinstance(value, list):
+        return [c + 1 for c in value]
+    return value + 1
+
+
+def _row(owner, name, suite, identity, counterexample, only=None):
+    return pytest.param(
+        owner, name, only, suite, identity, counterexample, id=f"{name}-{identity}"
+    )
+
+
+def _family(family):
+    return lambda args: args[0] == family
+
+
+T1 = "ordered-partition totals: closed form vs factorial Bell sum vs series"
+P2_POLY = "ordered-block partial polynomial equals weighted plain one"
+P2_TRIANGLE = "witness-sum route matches the closed-form triangle"
+T3 = "complete ordered-block polynomial splits into the partial ones"
+EQ23 = "partial ordered-block polynomials are homogeneous of degree k"
+EQ28 = "all-equal-argument complete polynomial equals the row polynomial"
+EQ30 = "ordered-block extended polynomial equals factorially weighted plain one"
+T4 = "all-ones complete extended polynomial equals the row polynomial"
+T5 = "all-ones partial extended polynomial equals the extended triangle"
+C6 = "paired-witness multinomial sum matches the extended triangle"
+T7 = "partition-times-composition expansion equals the witness sum at x=1"
+EQ42 = "scalar-argument partial sums rebuild the row polynomial"
+FDB = "series derivatives at 0 equal the factorial Bell values"
+SO_TRIANGLE = "triangle series match the closed forms"
+SO_ROWS = "row-total series match the closed forms"
+SO_POLY = "scalar-argument series match the row polynomials"
+SO_ORDINARY = "generic ordinary series match the witness sums"
+SO_COMPLETE = "generic complete series match the witness sums"
+SO_EGF = "generic egf series match the fractional witness sums"
+SO_COMPLETE_EGF = "complete egf series match the fractional witness sums"
+
+
+# Two rows per identity (three for theorem1's three routes): each makes one
+# compared route off by one at the narrowest name it reads, and the suite
+# must report exactly that identity.  A suite that compared a route with
+# itself, or skipped its loop, would pass a row and fail this test.
+FAULT_ROWS = [
+    _row(verify, "lah_bell_number", "theorem1", T1, "n=0: closed=2 bell=1 series=1"),
+    _row(verify, "complete_bell", "theorem1", T1, "n=0: closed=1 bell=2 series=1"),
+    _row(series, "exp", "theorem1", T1, "n=0: closed=1 bell=1 series=2"),
+    _row(verify, "incomplete_lah_bell", "prop2", P2_POLY, "n=0 k=0: 2 vs 1"),
+    _row(verify, "incomplete_bell", "prop2", P2_POLY, "n=0 k=0: 1 vs 2"),
+    _row(verify, "lah_via_pi", "prop2", P2_TRIANGLE, "n=0 k=0: 2 vs 1"),
+    _row(verify, "lah", "prop2", P2_TRIANGLE, "n=0 k=0: 1 vs 2"),
+    _row(verify, "complete_lah_bell", "theorem3", T3, "n=1: x1 + 1 vs x1"),
+    _row(verify, "incomplete_lah_bell", "theorem3", T3, "n=1: x1 vs x1 + 1"),
+    _row(SparsePolynomial, "substitute_all", "eq23", EQ23, "n=0 k=0 alpha=-3: 2 vs 1"),
+    _row(
+        SparsePolynomial, "__mul__", "eq23", EQ23, "n=0 k=0 alpha=-3: 1 vs 2",
+        only=lambda args: isinstance(args[1], int),
+    ),
+    _row(verify, "complete_lah_bell", "eq28", EQ28, "n=0: 2 vs 1"),
+    _row(verify, "lah_bell_polynomial", "eq28", EQ28, "n=0: 1 vs 2"),
+    _row(verify, "incomplete_r_lah_bell", "eq30", EQ30, "n=0 k=0 r=0: 2 vs 1"),
+    _row(verify, "incomplete_r_bell", "eq30", EQ30, "n=0 k=0 r=0: 1 vs 2"),
+    _row(verify, "complete_r_lah_bell", "theorem4", T4, "n=0 r=0: 2 vs 1"),
+    _row(verify, "lah_bell_polynomial", "theorem4", T4, "n=0 r=0: 1 vs 2"),
+    _row(verify, "incomplete_r_lah_bell", "theorem5", T5, "n=0 k=0 r=0: 2 vs 1"),
+    _row(verify, "rlah", "theorem5", T5, "n=0 k=0 r=0: 1 vs 2"),
+    _row(verify, "rlah_via_lambda", "corollary6", C6, "n=0 k=0 r=0: 2 vs 1"),
+    _row(verify, "rlah", "corollary6", C6, "n=0 k=0 r=0: 1 vs 2"),
+    _row(verify, "complete_r_lah_bell_expansion", "theorem7", T7, "n=0 r=0: 2 vs 1"),
+    _row(verify, "complete_r_lah_bell", "theorem7", T7, "n=0 r=0: 1 vs 2"),
+    _row(verify, "incomplete_r_lah_bell", "eq42", EQ42, "n=0 r=0: 2 vs 1"),
+    _row(verify, "lah_bell_polynomial", "eq42", EQ42, "n=0 r=0: 1 vs 2"),
+    _row(series, "exp", "faadibruno", FDB, "m=1: series=2 partitions=1"),
+    _row(series, "complete_bell", "faadibruno", FDB, "m=1: series=1 partitions=2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_TRIANGLE, "n=0 k=0 r=0: 2 vs 1",
+        only=_family("r-lah"),
+    ),
+    _row(verify, "rlah", "series-oracle", SO_TRIANGLE, "n=0 k=0 r=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_ROWS, "n=0 r=0: 2 vs 1",
+        only=_family("r-lah-bell"),
+    ),
+    _row(verify, "r_lah_bell_number", "series-oracle", SO_ROWS, "n=0 r=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_POLY, "n=0 r=0: 2 vs 1",
+        only=_family("r-lah-bell-poly"),
+    ),
+    _row(verify, "lah_bell_polynomial", "series-oracle", SO_POLY, "n=0 r=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_ORDINARY, "n=0 k=0 r=0: 2 vs 1",
+        only=_family("incomplete-generic"),
+    ),
+    _row(verify, "incomplete_r_lah_bell", "series-oracle", SO_ORDINARY, "n=0 k=0 r=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_COMPLETE, "n=0 r=0: 2 vs 1",
+        only=_family("complete-generic"),
+    ),
+    _row(verify, "complete_r_lah_bell", "series-oracle", SO_COMPLETE, "n=0 r=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_EGF, "n=0 k=0 rho=0: 2 vs 1",
+        only=_family("incomplete-r-bell"),
+    ),
+    _row(verify, "incomplete_r_bell", "series-oracle", SO_EGF, "n=0 k=0 rho=0: 1 vs 2"),
+    _row(
+        verify, "gf_expand", "series-oracle", SO_COMPLETE_EGF, "n=0 rho=0: 2 vs 1",
+        only=_family("complete-r-bell"),
+    ),
+    _row(verify, "complete_r_bell", "series-oracle", SO_COMPLETE_EGF, "n=0 rho=0: 1 vs 2"),
+]
+
+
+@pytest.mark.parametrize("owner,name,only,suite,identity,counterexample", FAULT_ROWS)
+def test_series_oracle_reports_the_broken_route(
+    monkeypatch, owner, name, only, suite, identity, counterexample
+):
+    original = getattr(owner, name)
+
+    def broken(*args, **kwargs):
+        got = original(*args, **kwargs)
+        return _plus_one(got) if only is None or only(args) else got
+
+    monkeypatch.setattr(owner, name, broken)
+    results = run_suites(suite, 3, 1)
+    failed = [(item.identity, item.counterexample) for item in results if not item.passed]
+    assert failed == [(identity, counterexample)]
+
+
+def test_every_identity_has_two_fault_rows():
+    rows = Counter(row.values[4] for row in FAULT_ROWS)
+    assert set(rows) == {item.identity for item in run_suites("all", 0, 0)}
+    assert min(rows.values()) >= 2
