@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_core import _check_nonnegative, exact_div, factorial, factorials_upto, rlah
+from .exact_core import _check_nonnegative, _rlah_walk, exact_div, factorial, factorials_upto
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
@@ -315,15 +315,15 @@ def complete_r_lah_bell(
 def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> SparsePolynomial:
     """Row polynomial of the r-extended triangle: sum of rlah(n, k, r) * x^k.
 
-    Computed straight from the closed-form numbers, independently of the
-    witness sums, so it can serve as an oracle for them.
+    Computed from the closed-form numbers, walked along the row, independently
+    of the witness sums, so it can serve as an oracle for them.
     """
     _check_nonnegative(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
-    for k in range(n + 1):
-        total.add(xpow, rlah(n, k, r))
+    for entry in _rlah_walk(n, r):
+        total.add(xpow, entry)
         xpow = xpow * xp
     return total.build()
 

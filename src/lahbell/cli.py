@@ -27,15 +27,22 @@ from .bell import (
     incomplete_r_lah_bell,
     lah_bell_polynomial,
 )
-from .exact_core import IntegralityError, lah, lah_bell_number, r_lah_bell_number, rlah
+from .exact_core import (
+    IntegralityError,
+    _rlah_walk,
+    lah,
+    lah_bell_number,
+    r_lah_bell_number,
+    rlah,
+)
 from .poly import SCALAR_X, var
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "run"]
 
 
-def _triangle(n_max: int, entry) -> dict:
-    rows = [[entry(n, k) for k in range(n + 1)] for n in range(n_max + 1)]
+def _triangle(n_max: int, row) -> dict:
+    rows = [list(row(n)) for n in range(n_max + 1)]
     return {"kind": "triangle", "rows": rows}
 
 
@@ -49,8 +56,8 @@ def _sequence(n_max: int, entry) -> dict:
 # The lambdas look up the library functions by name when called, so a wrapper
 # put on a module-level name (tracing, a test's substitute) still applies.
 _FOR_TABLE = {
-    "lah": ((), (), lambda a: _triangle(a.n_max, lah)),
-    "rlah": (("r",), (), lambda a: _triangle(a.n_max, lambda n, k: rlah(n, k, a.r))),
+    "lah": ((), (), lambda a: _triangle(a.n_max, lambda n: _rlah_walk(n, 0))),
+    "rlah": (("r",), (), lambda a: _triangle(a.n_max, lambda n: _rlah_walk(n, a.r))),
     "lah-bell": ((), (), lambda a: _sequence(a.n_max, lah_bell_number)),
     "r-lah-bell": (("r",), (), lambda a: _sequence(a.n_max, lambda n: r_lah_bell_number(n, a.r))),
 }

@@ -5,12 +5,18 @@ rounding anywhere.  No computation in the package uses rational arithmetic:
 every quotient goes through exact_div, which raises IntegralityError when the
 division is not exact.  The closed form rlah needs none: it takes n!/k! as a
 falling product, and lah and lah_bell_number are its r = 0 cases.
+
+A whole row of the triangle comes from one closed-form entry and the
+neighbour ratio rlah(n, k+1, r) = rlah(n, k, r) * (n-k) / ((k+1)(k+2r)),
+one big-int product and one exact division per entry (_rlah_walk).  The row
+totals and the callers that read a whole row use that walk; lah and rlah
+keep the direct formula for single entries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "IntegralityError",
@@ -31,8 +37,14 @@ class IntegralityError(ArithmeticError):
 
 
 def exact_div(a: int, b: int) -> int:
-    """a // b, raising IntegralityError unless b divides a exactly."""
+    """a // b, raising IntegralityError unless b divides a exactly.
+
+    Both operands must be ints: a float, Fraction or Decimal operand leaves a
+    remainder of its own type, which raises TypeError.
+    """
     q, rem = divmod(a, b)
+    if type(rem) is not int:
+        raise TypeError(f"exact_div needs ints, got {type(a).__name__} and {type(b).__name__}")
     if rem:
         raise IntegralityError(f"{a} is not divisible by {b}")
     return q
@@ -103,6 +115,23 @@ def rlah(n: int, k: int, r: int) -> int:
     return math.perm(n, n - k) * binomial(n + 2 * r - 1, k + 2 * r - 1)
 
 
+def _rlah_walk(n: int, r: int) -> Iterator[int]:
+    """rlah(n, k, r) for k = 0..n, each entry from its left neighbour.
+
+    The walk starts from one closed-form entry.  At r = 0 the ratio out of
+    k = 0 divides by zero, and that entry is 0 for n >= 1, so the walk
+    starts at k = 1 there.
+    """
+    start = 1 if r == 0 and n else 0
+    if start:
+        yield 0
+    value = rlah(n, start, r)
+    yield value
+    for k in range(start, n):
+        value = exact_div(value * (n - k), (k + 1) * (k + 2 * r))
+        yield value
+
+
 def lah_bell_number(n: int) -> int:
     """Total number of ordered-block partitions of an n-set: sum of lah(n, k)."""
     return r_lah_bell_number(n, 0)
@@ -111,4 +140,4 @@ def lah_bell_number(n: int) -> int:
 def r_lah_bell_number(n: int, r: int) -> int:
     """Row total of the r-extended triangle: sum of rlah(n, k, r) over k."""
     _check_nonnegative(n=n, r=r)
-    return sum(rlah(n, k, r) for k in range(n + 1))
+    return sum(_rlah_walk(n, r))

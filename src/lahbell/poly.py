@@ -158,6 +158,8 @@ class Monomial:
         for v, e in items.items():
             if not isinstance(v, Variable):
                 raise TypeError(f"monomial keys must be Variable, got {type(v).__name__}")
+            if not isinstance(e, int):
+                raise TypeError(f"exponents must be int, got {type(e).__name__}")
             if e < 0:
                 raise ValueError(f"negative exponent for {v.name}")
         self._pairs: tuple[tuple[int, int], ...] = tuple(

@@ -7,7 +7,8 @@ exponential generating functions stays inside exact integer arithmetic:
 
   - reading off an exponential coefficient is a direct lookup,
   - the Cauchy product becomes a binomial convolution,
-  - the derivative becomes an index shift,
+  - the derivative becomes an index shift, so exp(s) follows from
+    E' = s'E one entry at a time, with no division,
   - dividing the k-th power of a constant-term-zero series by k! is an
     exact division (the quotient coefficients are multinomial-weighted
     sums of integer products).
@@ -92,13 +93,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, tuple(c * p for c in self.coeffs))
 
     def pow(self, k: int) -> "TruncatedSeries":
-        """k-th power by repeated multiplication; pow(0) is the unit series."""
+        """k-th power by repeated squaring; pow(0) is the unit series.
+
+        About 2 log2(k) products instead of k: the squares s, s^2, s^4, ...
+        are multiplied into the result where k has a 1 bit.
+        """
         if k < 0:
             raise ValueError("series exponent must be nonnegative")
-        result = one(self.order)
-        for _ in range(k):
-            result = result * self
-        return result
+        result = None
+        square = self
+        while k:
+            if k & 1:
+                result = square if result is None else result * square
+            k >>= 1
+            if k:
+                square = square * square
+        return one(self.order) if result is None else result
 
     def divide_exact(self, divisor: int) -> "TruncatedSeries":
         return TruncatedSeries(
@@ -145,21 +155,29 @@ def from_sequence(
 
 
 def exp(s: TruncatedSeries) -> TruncatedSeries:
-    """Series exponential sum_k s^k / k!; s must have zero constant term.
+    """Series exponential E = exp(s); s must have zero constant term.
 
-    Each lattice coefficient of s^k is divisible by k! exactly, so the
-    whole computation stays integral.
+    E is the solution of E' = s'E with E(0) = 1.  On the factorial lattice
+    the derivative is an index shift and the product a binomial convolution,
+    so the lattice entries obey e_0 = 1 and
+      e_(n+1) = sum_(i=0..n) C(n, i) * s_(i+1) * e_(n-i),
+    which needs no power of s and no division: O(order^2) coefficient
+    products instead of O(order) series products.
     """
     if not s.coeffs[0].is_zero:
         raise ValueError("series exponential requires a zero constant term")
-    result = one(s.order)
-    power = one(s.order)
-    kfact = 1
-    for k in range(1, s.order + 1):
-        power = power * s
-        kfact *= k
-        result = result + power.divide_exact(kfact)
-    return result
+    shifted = s.coeffs[1:]
+    e = [ONE]
+    for n in range(s.order):
+        acc = PolyAccumulator()
+        for i in range(n + 1):
+            left = shifted[i]
+            right = e[n - i]
+            if left.is_zero or right.is_zero:
+                continue
+            acc.add(left * right, comb(n, i))
+        e.append(acc.build())
+    return TruncatedSeries(s.order, tuple(e))
 
 
 GF_FAMILIES = {

@@ -5,11 +5,14 @@ by the number of ways to arrange it in a line.  They share no code with
 the closed forms under test.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lahbell.exact_core import (
     IntegralityError,
+    _rlah_walk,
     binomial,
     exact_div,
     factorial,
@@ -112,6 +115,12 @@ def test_exact_div():
         exact_div(7, 2)
 
 
+@pytest.mark.parametrize("a, b", [(3, 1.5), (3.0, 1), (0, 2.0), (6, Fraction(3))])
+def test_exact_div_refuses_values_that_are_not_ints(a, b):
+    with pytest.raises(TypeError):
+        exact_div(a, b)
+
+
 def test_lah_matches_ordered_block_oracle():
     for n in range(7):
         for k in range(n + 2):
@@ -165,8 +174,8 @@ def test_lah_bell_number_is_row_total():
 
 
 def test_lah_bell_sequence():
-    values = [lah_bell_number(n) for n in range(7)]
-    assert values == [1, 1, 3, 13, 73, 501, 4051]
+    values = [lah_bell_number(n) for n in range(8)]
+    assert values == [1, 1, 3, 13, 73, 501, 4051, 37633]
 
 
 def test_r_lah_bell_number_is_row_total():
@@ -188,3 +197,31 @@ def test_lah_row_recurrence(n, k):
 )
 def test_rlah_row_recurrence(n, k, r):
     assert rlah(n + 1, k, r) == rlah(n, k - 1, r) + (n + k + 2 * r) * rlah(n, k, r)
+
+
+def _three_term_rows(r, n_max):
+    """Row totals from a(n+1) = (2n+2r+1) a(n) - n(n+2r-1) a(n-1).
+
+    The recurrence follows from (1-t)^2 E' = (1 + 2r(1-t)) E for the row
+    generating function E = exp(t/(1-t)) / (1-t)^(2r); it shares nothing
+    with the closed form or its row walk.  a(0) = 1 and a(1) = 1 + 2r.
+    """
+    rows = [1, 1 + 2 * r]
+    for n in range(1, n_max):
+        rows.append((2 * n + 2 * r + 1) * rows[n] - n * (n + 2 * r - 1) * rows[n - 1])
+    return rows
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_row_totals_follow_the_three_term_recurrence(r):
+    want = _three_term_rows(r, 2000)
+    if r == 0:
+        assert want[:8] == [1, 1, 3, 13, 73, 501, 4051, 37633]  # OEIS A000262
+    for n in [*range(301), 500, 1000, 1500, 2000]:
+        assert r_lah_bell_number(n, r) == want[n], (n, r)
+
+
+def test_walked_rows_equal_the_closed_form():
+    for r in range(5):
+        for n in range(80):
+            assert list(_rlah_walk(n, r)) == [rlah(n, k, r) for k in range(n + 1)], (n, r)

@@ -96,6 +96,15 @@ def test_divide_exact():
     assert p.divide_exact(2) == 2 * var("x1") + 3
     with pytest.raises(IntegralityError):
         (3 * var("x1")).divide_exact(2)
+    with pytest.raises(TypeError):
+        const(3).divide_exact(1.5)
+
+
+def test_exponents_that_are_not_ints_are_refused():
+    with pytest.raises(TypeError):
+        term(1, x1=1.5)
+    with pytest.raises(TypeError):
+        Monomial({Variable("x", 1): 0.5})
 
 
 def test_substitute_and_evaluate():

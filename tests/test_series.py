@@ -111,6 +111,48 @@ def test_exp_is_multiplicative():
         assert exp(s + u) == exp(s) * exp(u)
 
 
+def reference_exp(s):
+    """sum_k s^k / k!: repeated products, each power divided by k! exactly."""
+    result = one(s.order)
+    power = one(s.order)
+    kfact = 1
+    for k in range(1, s.order + 1):
+        power = power * s
+        kfact *= k
+        result = result + power.divide_exact(kfact)
+    return result
+
+
+_SPECS = {
+    "ones": ONES,
+    "factorials": FACTORIALS,
+    "explicit": SequenceSpec.explicit([3, -1, 4, 1, 5, 9, 2, 6, 5, 3, 5]),
+    "symbolic": SequenceSpec.symbolic("a"),
+}
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "egf"])
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+def test_exp_matches_its_power_sum_definition(kind, spec):
+    for order in range(11):
+        s = from_sequence(_SPECS[spec], kind, 1, order)
+        for series in (s, s.scale(3), s.scale(var("x"))):
+            assert exp(series).coeffs == reference_exp(series).coeffs, (order, series)
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "egf"])
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+def test_pow_matches_the_repeated_product(kind, spec):
+    for order in range(11):
+        for start in (0, 1):
+            s = from_sequence(_SPECS[spec], kind, start, order)
+            # s^k as k products from the unit series, one more per exponent
+            want = one(order)
+            for k in range(13):
+                assert s.pow(k).coeffs == want.coeffs, (order, start, k)
+                want = want * s
+
+
 def test_derivative_shifts_lattice():
     core = from_sequence(ONES, "ordinary", 1, 7)
     es = exp(core)
