@@ -11,14 +11,24 @@ exponential generating functions stays inside exact integer arithmetic:
     E' = s'E one entry at a time, with no division,
   - dividing the k-th power of a constant-term-zero series by k! is an
     exact division (the quotient coefficients are multinomial-weighted
-    sums of integer products).
+    sums of integer products), and the same quotient P_k = A^k/k! also
+    follows from P_(k-1) by P_k' = A'P_(k-1), the partial Bell recurrence.
 
 All values are immutable; operations return new series truncated to the
 smaller operand order.
+
+A grid of gf_expand calls, such as the one the verifier's series-oracle
+suite sweeps, can share its factors: inside a private ``_reuse()`` scope
+gf_expand keeps every head and tail it builds, takes head k as one
+recurrence step from head k-1 and tail m as one product from tail m-1 or
+m-2, and the kept series are dropped when the scope closes.  Outside a
+scope every call builds its factors afresh.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence, Union
@@ -67,6 +77,8 @@ class TruncatedSeries:
         return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return TruncatedSeries(
             n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
@@ -76,17 +88,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        out = []
-        for m in range(n + 1):
-            acc = PolyAccumulator()
-            for i in range(m + 1):
-                left = self.coeffs[i]
-                right = other.coeffs[m - i]
-                if left.is_zero or right.is_zero:
-                    continue
-                acc.add(left * right, comb(m, i))
-            out.append(acc.build())
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(
+            n, tuple(_convolve(self.coeffs, other.coeffs, m) for m in range(n + 1))
+        )
 
     def scale(self, value: Union[SparsePolynomial, int]) -> "TruncatedSeries":
         p = as_poly(value)
@@ -120,6 +124,20 @@ class TruncatedSeries:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 series")
         return TruncatedSeries(self.order - 1, self.coeffs[1:])
+
+
+def _convolve(
+    left: Sequence[SparsePolynomial], right: Sequence[SparsePolynomial], n: int
+) -> SparsePolynomial:
+    """sum_(i=0..n) C(n, i) * left[i] * right[n-i]: entry n of a lattice product."""
+    acc = PolyAccumulator()
+    for i in range(n + 1):
+        u = left[i]
+        v = right[n - i]
+        if u.is_zero or v.is_zero:
+            continue
+        acc.add(u * v, comb(n, i))
+    return acc.build()
 
 
 def zero(order: int) -> TruncatedSeries:
@@ -169,15 +187,42 @@ def exp(s: TruncatedSeries) -> TruncatedSeries:
     shifted = s.coeffs[1:]
     e = [ONE]
     for n in range(s.order):
-        acc = PolyAccumulator()
-        for i in range(n + 1):
-            left = shifted[i]
-            right = e[n - i]
-            if left.is_zero or right.is_zero:
-                continue
-            acc.add(left * right, comb(n, i))
-        e.append(acc.build())
+        e.append(_convolve(shifted, e, n))
     return TruncatedSeries(s.order, tuple(e))
+
+
+def _head_step(base: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
+    """A^k/k! from prev = A^(k-1)/(k-1)!, where base A has zero constant term.
+
+    The derivative of A^k/k! is A' A^(k-1)/(k-1)!, so on the factorial
+    lattice the entries obey the partial Bell recurrence (Comtet, Advanced
+    Combinatorics, 3.3) p_0 = 0 and
+      p_(n+1) = sum_(i=0..n) C(n, i) * a_(i+1) * q_(n-i),
+    which costs what one series product costs and needs no division by k!.
+    """
+    shifted = base.coeffs[1:]
+    return TruncatedSeries(
+        base.order,
+        (ZERO,) + tuple(_convolve(shifted, prev.coeffs, n) for n in range(base.order)),
+    )
+
+
+# The heads and tails gf_expand keeps while a _reuse() scope is open; None
+# outside one.  A context variable, so a scope never leaks into another thread.
+_MEMO: ContextVar[dict | None] = ContextVar("lahbell_series_memo", default=None)
+
+
+@contextmanager
+def _reuse():
+    """Let gf_expand keep and reuse its head and tail series until the scope ends.
+
+    A nested scope starts empty and gives the outer one back when it closes.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 GF_FAMILIES = {
@@ -219,7 +264,17 @@ def gf_expand(
 
     where A lays the a-sequence (ones if not given) from t^1 and B lays the
     b-sequence (ones if not given) from t^0.
-    Missing or extra parameters raise ValueError.
+    Missing or extra parameters, and a negative order, k, r or rho, raise
+    ValueError; an order, k, r or rho that is not an int (or is a bool)
+    raises TypeError.
+
+    The head A^k/k! is a power by squaring divided by k!, and exp(x A) the
+    series exponential; the tail B^m is a power of B and is left out when
+    m = 0.  Inside a _reuse() scope the call keeps its head and tail for
+    later calls with the same sequence, lattice and order: head k then comes
+    from a kept head k-1 by one partial Bell recurrence step (_head_step),
+    and tail m from a kept tail m-1 or m-2 by one product.  Either way the
+    coefficients are the same.
     """
     if family not in GF_FAMILIES:
         raise ValueError(f"unknown generating-function family: {family!r}")
@@ -234,19 +289,68 @@ def gf_expand(
             f"family {family!r} takes parameters {sorted(required)}, got {sorted(provided)}"
         )
 
+    for name, value in (("order", order), ("k", k), ("r", r), ("rho", rho)):
+        if value is None:
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
     # Every family has one of two shapes, A^k/k! * B^m or exp(x A) * B^m: k
     # picks the head, r (m = 2r) or rho (m = rho) brings the tail, and the
     # families that take rho lay A and B on the egf lattice.
     kind = "ordinary" if rho is None else "egf"
-    s = from_sequence(ONES if a is None else a, kind, 1, order)
+    a = ONES if a is None else a
+    memo = _MEMO.get()
+    if memo is None:
+        memo = {}  # outside a _reuse() scope nothing outlives this call
     if k is not None:
-        s = s.pow(k).divide_exact(factorial(k))
+        s = _power_head(memo, a, kind, order, k)
     else:
-        s = exp(s if x is None else s.scale(x))
-    if r is not None or rho is not None:
-        bser = from_sequence(ONES if b is None else b, kind, 0, order)
-        s = s * bser.pow(2 * r if rho is None else rho)
+        s = _exp_head(memo, a, kind, order, None if x is None else as_poly(x))
+    m = 2 * r if r is not None else rho
+    if m:
+        s = s * _tail(memo, ONES if b is None else b, kind, order, m)
     return [s.egf_coefficient(n) for n in range(order + 1)]
+
+
+def _power_head(memo: dict, a: SequenceSpec, kind: str, order: int, k: int) -> TruncatedSeries:
+    """A^k/k!: one recurrence step from a kept A^(k-1)/(k-1)!, else a power."""
+    heads = memo.setdefault(("head", a, kind, order), {})
+    if k not in heads:
+        base = from_sequence(a, kind, 1, order)
+        if k - 1 in heads:
+            heads[k] = _head_step(base, heads[k - 1])
+        else:
+            heads[k] = base.pow(k).divide_exact(factorial(k))
+    return heads[k]
+
+
+def _exp_head(
+    memo: dict, a: SequenceSpec, kind: str, order: int, x: SparsePolynomial | None
+) -> TruncatedSeries:
+    """exp(x A), or exp(A) when x is None."""
+    key = ("exp", a, kind, order, x)
+    if key not in memo:
+        s = from_sequence(a, kind, 1, order)
+        memo[key] = exp(s if x is None else s.scale(x))
+    return memo[key]
+
+
+def _tail(memo: dict, b: SequenceSpec, kind: str, order: int, m: int) -> TruncatedSeries:
+    """B^m for m >= 1: one product from kept B^(m-1) or B^(m-2), else a power."""
+    tails = memo.setdefault(("tail", b, kind, order), {})
+    if 1 not in tails:
+        tails[1] = from_sequence(b, kind, 0, order)
+    if m not in tails:
+        for j in (m - 1, m - 2):
+            if j in tails and m - j in tails:
+                tails[m] = tails[j] * tails[m - j]
+                break
+        else:
+            tails[m] = tails[1].pow(m)
+    return tails[m]
 
 
 @dataclass(frozen=True)

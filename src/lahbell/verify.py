@@ -30,7 +30,7 @@ from .bell import (
 from .exact_core import factorial, lah, lah_bell_number, r_lah_bell_number, rlah
 from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import SCALAR_X, SparsePolynomial, Variable, const, var
-from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
+from .series import GF_FAMILIES, _reuse, faa_di_bruno_check, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
@@ -313,43 +313,47 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
                     )
         return _ok(suite, identity, bounds)
 
-    return [
-        compare(
-            "triangle series match the closed forms",
-            "r-lah",
-            lambda n, k, r: const(rlah(n, k, r)),
-        ),
-        compare(
-            "row-total series match the closed forms",
-            "r-lah-bell",
-            lambda n, r: const(r_lah_bell_number(n, r)),
-        ),
-        compare(
-            "scalar-argument series match the row polynomials",
-            "r-lah-bell-poly",
-            lambda n, r: lah_bell_polynomial(n, r, x),
-        ),
-        compare(
-            "generic ordinary series match the witness sums",
-            "incomplete-generic",
-            lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
-        ),
-        compare(
-            "generic complete series match the witness sums",
-            "complete-generic",
-            lambda n, r: complete_r_lah_bell(n, r, x, a, b),
-        ),
-        compare(
-            "generic egf series match the fractional witness sums",
-            "incomplete-r-bell",
-            lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
-        ),
-        compare(
-            "complete egf series match the fractional witness sums",
-            "complete-r-bell",
-            lambda n, rho: complete_r_bell(n, rho, a, b),
-        ),
-    ]
+    # The families share heads A^k/k! and exp(x A) and tails B^m across the
+    # grid; inside the scope gf_expand builds each of them once.  The want
+    # side never reads what the scope keeps.
+    with _reuse():
+        return [
+            compare(
+                "triangle series match the closed forms",
+                "r-lah",
+                lambda n, k, r: const(rlah(n, k, r)),
+            ),
+            compare(
+                "row-total series match the closed forms",
+                "r-lah-bell",
+                lambda n, r: const(r_lah_bell_number(n, r)),
+            ),
+            compare(
+                "scalar-argument series match the row polynomials",
+                "r-lah-bell-poly",
+                lambda n, r: lah_bell_polynomial(n, r, x),
+            ),
+            compare(
+                "generic ordinary series match the witness sums",
+                "incomplete-generic",
+                lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
+            ),
+            compare(
+                "generic complete series match the witness sums",
+                "complete-generic",
+                lambda n, r: complete_r_lah_bell(n, r, x, a, b),
+            ),
+            compare(
+                "generic egf series match the fractional witness sums",
+                "incomplete-r-bell",
+                lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
+            ),
+            compare(
+                "complete egf series match the fractional witness sums",
+                "complete-r-bell",
+                lambda n, rho: complete_r_bell(n, rho, a, b),
+            ),
+        ]
 
 
 _SUITES: dict[str, Callable[[int, int], list[IdentityResult]]] = {

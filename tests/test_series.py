@@ -5,6 +5,8 @@ coefficients and rescales, so any bookkeeping slip in the factorial
 normalization shows up immediately.
 """
 
+import contextlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +15,13 @@ from hypothesis import given, strategies as st
 
 from lahbell.bell import FACTORIALS, ONES, SequenceSpec, complete_bell, incomplete_r_bell
 from lahbell.exact_core import IntegralityError, factorial, lah, lah_bell_number, rlah
+from lahbell import series
 from lahbell.poly import const, var
 from lahbell.series import (
+    GF_FAMILIES,
     TruncatedSeries,
+    _head_step,
+    _reuse,
     exp,
     faa_di_bruno_check,
     from_sequence,
@@ -90,6 +96,15 @@ def test_add_scale_pow():
     assert zero(3).coeffs == (const(0),) * 4
 
 
+def test_add_refuses_a_non_series():
+    u = _ints([1, 2, 3], 2)
+    for other in (1, const(1)):
+        with pytest.raises(TypeError):
+            u + other
+        with pytest.raises(TypeError):
+            other + u
+
+
 def test_exp_of_core_series_gives_row_totals():
     core = from_sequence(ONES, "ordinary", 1, 8)
     es = exp(core)
@@ -151,6 +166,18 @@ def test_pow_matches_the_repeated_product(kind, spec):
             for k in range(13):
                 assert s.pow(k).coeffs == want.coeffs, (order, start, k)
                 want = want * s
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "egf"])
+@pytest.mark.parametrize("spec", ["ones", "explicit", "symbolic"])
+def test_head_step_matches_the_divided_power(kind, spec):
+    for order in range(11):
+        base = from_sequence(_SPECS[spec], kind, 1, order)
+        head = one(order)
+        for k in range(1, 13):
+            head = _head_step(base, head)
+            want = base.pow(k).divide_exact(factorial(k))
+            assert head.coeffs == want.coeffs, (order, k)
 
 
 def test_derivative_shifts_lattice():
@@ -221,6 +248,92 @@ def test_gf_expand_validates_parameters():
         gf_expand("nope", 4)
     with pytest.raises(ValueError):
         gf_expand("lah", -1, k=0)
+
+
+_BAD_INTEGERS = [
+    ("lah", {"k": 2.0}, TypeError, "k"),
+    ("lah", {"k": True}, TypeError, "k"),
+    ("lah", {"k": "2"}, TypeError, "k"),
+    ("lah", {"k": -1}, ValueError, "k"),
+    ("r-lah", {"k": 1, "r": 1.0}, TypeError, "r"),
+    ("r-lah", {"k": True, "r": 1}, TypeError, "k"),
+    ("r-lah", {"k": 1, "r": True}, TypeError, "r"),
+    ("r-lah", {"k": 1, "r": -1}, ValueError, "r"),
+    ("complete-r-bell", {"rho": True, "a": ONES, "b": ONES}, TypeError, "rho"),
+    ("complete-r-bell", {"rho": 2.0, "a": ONES, "b": ONES}, TypeError, "rho"),
+    ("complete-r-bell", {"rho": -1, "a": ONES, "b": ONES}, ValueError, "rho"),
+]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+def test_gf_expand_refuses_bad_integer_parameters(scoped):
+    with _reuse() if scoped else contextlib.nullcontext():
+        # In a scope these calls keep the series that 1.0, 2.0 and True
+        # compare equal to; a bad value must still be refused, not looked up.
+        for k in (1, 2):
+            gf_expand("lah", 3, k=k)
+            gf_expand("r-lah", 3, k=k, r=1)
+            gf_expand("complete-r-bell", 3, rho=k, a=ONES, b=ONES)
+        for family, params, error, name in _BAD_INTEGERS:
+            with pytest.raises(error, match=f"^{name} must be"):
+                gf_expand(family, 3, **params)
+        with pytest.raises(TypeError, match="^order must be"):
+            gf_expand("lah", 3.0, k=1)
+        with pytest.raises(TypeError, match="^order must be"):
+            gf_expand("lah", True, k=1)
+
+
+# The series-oracle grid at n_max 8, r_max 2.
+_SWEEPS = {"k": range(9), "r": range(3), "rho": range(5)}
+
+
+def _grid(a, b, x):
+    """(family, parameters) at every grid point of every family, k slowest."""
+    for family, names in GF_FAMILIES.items():
+        swept = [name for name in names if name in _SWEEPS]
+        given = {"x": x, "a": a, "b": b}
+        fixed = {name: given[name] for name in names if name in given}
+        for values in itertools.product(*(_SWEEPS[name] for name in swept)):
+            yield family, {**dict(zip(swept, values)), **fixed}
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [("ones", "ones"), ("factorials", "factorials"), ("explicit", "explicit"),
+     ("symbolic", "symbolic"), ("symbolic", "explicit")],
+)
+@pytest.mark.parametrize("x", [3, var("x")], ids=["int", "symbol"])
+def test_reuse_scope_gives_the_unscoped_coefficients(a, b, x):
+    points = list(_grid(_SPECS[a], _SPECS[b], x))
+    want = [gf_expand(family, 8, **params) for family, params in points]
+    # In grid order each head and tail after the first comes from a kept
+    # one; in reverse order head k finds no kept head k-1 and is a power.
+    for step in (1, -1):
+        with _reuse():
+            got = [gf_expand(family, 8, **params) for family, params in points[::step]]
+        assert got[::step] == want
+
+
+def test_reuse_scope_keeps_nothing_after_it_closes():
+    assert series._MEMO.get() is None
+    gf_expand("r-lah", 4, k=1, r=1)
+    assert series._MEMO.get() is None
+    with _reuse():
+        gf_expand("r-lah", 4, k=1, r=1)
+        outer = series._MEMO.get()
+        kept = dict(outer)
+        assert kept
+        with _reuse():
+            assert series._MEMO.get() == {}
+            gf_expand("r-lah", 4, k=2, r=2)
+        assert series._MEMO.get() is outer
+        assert outer == kept
+    assert series._MEMO.get() is None
+    with pytest.raises(RuntimeError):
+        with _reuse():
+            gf_expand("r-lah", 4, k=1, r=1)
+            raise RuntimeError("raised inside the scope")
+    assert series._MEMO.get() is None
 
 
 def test_faa_di_bruno_checks():

@@ -184,6 +184,30 @@ def test_series_oracle_reports_the_broken_route(
     assert failed == [(identity, counterexample)]
 
 
+def test_series_oracle_builds_each_head_and_tail_once(monkeypatch):
+    """Series work of one oracle run as counts, so a change that drops the
+    reuse of heads and tails fails here and not only in benchmark timings."""
+    counts = Counter()
+    product, exponential = TruncatedSeries.__mul__, series.exp
+
+    def counted_product(self, other):
+        counts["products"] += 1
+        return product(self, other)
+
+    def counted_exp(s):
+        counts["exp"] += 1
+        return exponential(s)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_product)
+    monkeypatch.setattr(series, "exp", counted_exp)
+    assert all(item.passed for item in run_suites("series-oracle", 12, 2))
+    # 114 head-times-tail products at grid points with a nonzero tail exponent,
+    # and 7 to build the tails
+    assert counts["products"] <= 130
+    # r-lah-bell, r-lah-bell-poly, complete-generic and complete-r-bell
+    assert counts["exp"] == 4
+
+
 def test_every_identity_has_two_fault_rows():
     rows = Counter(row.values[4] for row in FAULT_ROWS)
     assert set(rows) == {item.identity for item in run_suites("all", 0, 0)}
