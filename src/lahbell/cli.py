@@ -11,6 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -283,16 +284,7 @@ def _render_json(record: dict) -> str:
     elif kind == "polynomial":
         payload.update(record["poly"].to_json_obj())
     else:
-        payload["results"] = [
-            {
-                "suite": item.suite,
-                "identity": item.identity,
-                "bounds": item.bounds,
-                "passed": item.passed,
-                "counterexample": item.counterexample,
-            }
-            for item in record["results"]
-        ]
+        payload["results"] = [dataclasses.asdict(item) for item in record["results"]]
         payload["all_passed"] = all(item.passed for item in record["results"])
     return json.dumps(payload, indent=2) + "\n"
 

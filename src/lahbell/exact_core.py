@@ -56,6 +56,15 @@ def _check_nonnegative(**values: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _check_nonnegative_int(**values: int) -> None:
+    """TypeError unless each value is an int and not a bool; ValueError if negative."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     _check_nonnegative(n=n)

@@ -34,7 +34,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .bell import FACTORIALS, ONES, SequenceSpec, complete_bell
-from .exact_core import factorial
+from .exact_core import _check_nonnegative_int, factorial
 from .poly import ONE, ZERO, PolyAccumulator, SparsePolynomial, as_poly
 
 __all__ = [
@@ -58,8 +58,7 @@ class TruncatedSeries:
     coeffs: tuple[SparsePolynomial, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("series order must be nonnegative")
+        _check_nonnegative_int(order=self.order)
         if len(self.coeffs) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}"
@@ -102,8 +101,7 @@ class TruncatedSeries:
         About 2 log2(k) products instead of k: the squares s, s^2, s^4, ...
         are multiplied into the result where k has a 1 bit.
         """
-        if k < 0:
-            raise ValueError("series exponent must be nonnegative")
+        _check_nonnegative_int(exponent=k)
         result = None
         square = self
         while k:
@@ -161,6 +159,7 @@ def from_sequence(
         raise ValueError(f"kind must be 'ordinary' or 'egf', got {kind!r}")
     if start not in (0, 1):
         raise ValueError(f"start must be 0 or 1, got {start}")
+    _check_nonnegative_int(order=order)
     coeffs = []
     for j in range(order + 1):
         m = j - start
@@ -289,13 +288,8 @@ def gf_expand(
             f"family {family!r} takes parameters {sorted(required)}, got {sorted(provided)}"
         )
 
-    for name, value in (("order", order), ("k", k), ("r", r), ("rho", rho)):
-        if value is None:
-            continue
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    counts = {name: value for name, value in provided.items() if name in ("k", "r", "rho")}
+    _check_nonnegative_int(order=order, **counts)
 
     # Every family has one of two shapes, A^k/k! * B^m or exp(x A) * B^m: k
     # picks the head, r (m = 2r) or rho (m = rho) brings the tail, and the

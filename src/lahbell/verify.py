@@ -3,14 +3,22 @@
 Every suite re-derives a family of values along two or three independent
 routes (closed form, witness-sum, generating series) and reports exact
 equality.  Suites are keyed by short stable labels; each returns one result
-per identity with the first counterexample when a comparison fails.
+per identity.
+
+There is one verdict path.  A suite lays out each identity's comparisons as
+a lazy stream of cases (where, got, want); _mismatches turns the cases whose
+sides differ into counterexample text "where: got vs want", and _verdict
+reports the first of them, or a pass when there is none.  The stream is
+consumed only up to that first counterexample, so nothing after it is
+computed.  theorem1's three-way check and faadibruno's report write their
+counterexample text themselves and feed _verdict the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .bell import (
     FACTORIALS,
@@ -27,7 +35,9 @@ from .bell import (
     incomplete_r_lah_bell,
     lah_bell_polynomial,
 )
-from .exact_core import factorial, lah, lah_bell_number, r_lah_bell_number, rlah
+from .exact_core import (
+    _check_nonnegative_int, factorial, lah, lah_bell_number, r_lah_bell_number, rlah,
+)
 from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import SCALAR_X, SparsePolynomial, Variable, const, var
 from .series import GF_FAMILIES, _reuse, faa_di_bruno_check, gf_expand
@@ -37,6 +47,8 @@ __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
 @dataclass(frozen=True)
 class IdentityResult:
+    """One identity's verdict; the fields, in this order, are its JSON keys."""
+
     suite: str
     identity: str
     bounds: str
@@ -44,247 +56,205 @@ class IdentityResult:
     counterexample: str | None = None
 
 
-def _ok(suite: str, identity: str, bounds: str) -> IdentityResult:
-    return IdentityResult(suite, identity, bounds, True)
-
-
-def _fail(suite: str, identity: str, bounds: str, where: str) -> IdentityResult:
-    return IdentityResult(suite, identity, bounds, False, where)
-
-
-def _shown(p: SparsePolynomial) -> str:
-    text = p.to_text()
+def _shown(value: SparsePolynomial | int) -> str:
+    """An int in full; a polynomial's text, cut at 60 characters."""
+    if isinstance(value, int):
+        return str(value)
+    text = value.to_text()
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _mismatches(cases: Iterable[tuple[str, object, object]]) -> Iterator[str]:
+    """'where: got vs want' for each (where, got, want) case whose sides differ."""
+    for where, got, want in cases:
+        if got != want:
+            yield f"{where}: {_shown(got)} vs {_shown(want)}"
+
+
+def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) -> IdentityResult:
+    """Failed with the first counterexample in failures, or passed if there is none."""
+    first = next(iter(failures), None)
+    return IdentityResult(suite, identity, bounds, first is None, first)
 
 
 def _sym(family: str) -> SequenceSpec:
     return SequenceSpec.symbolic(family)
 
 
+def _rows(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
+    """(n, r) for n <= n_max and r <= r_max, r varying slowest."""
+    return ((n, r) for r in range(r_max + 1) for n in range(n_max + 1))
+
+
+def _triangles(n_max: int, r_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, k, r) for k <= n <= n_max and r <= r_max, r varying slowest."""
+    return ((n, k, r) for n, r in _rows(n_max, r_max) for k in range(n + 1))
+
+
 def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "theorem1", f"n<={n_max}"
     identity = "ordered-partition totals: closed form vs factorial Bell sum vs series"
-    series_values = gf_expand("lah-bell", n_max)
-    for n in range(n_max + 1):
-        closed = lah_bell_number(n)
-        bell_route = complete_bell(n, FACTORIALS)
-        series_route = series_values[n]
-        if bell_route != const(closed) or series_route != const(closed):
-            return [
-                _fail(
-                    suite,
-                    identity,
-                    bounds,
-                    f"n={n}: closed={closed} bell={_shown(bell_route)} series={_shown(series_route)}",
-                )
-            ]
-    return [_ok(suite, identity, bounds)]
+    expanded = gf_expand("lah-bell", n_max)
+    routes = ((n, lah_bell_number(n), complete_bell(n, FACTORIALS)) for n in range(n_max + 1))
+    failures = (
+        f"n={n}: closed={closed} bell={_shown(bell)} series={_shown(expanded[n])}"
+        for n, closed, bell in routes
+        if bell != const(closed) or expanded[n] != const(closed)
+    )
+    return [_verdict("theorem1", identity, f"n<={n_max}", failures)]
 
 
 def _check_prop2(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "prop2", f"n<={n_max}, k<=n"
-    results = []
-    identity = "ordered-block partial polynomial equals weighted plain one"
-    failure = None
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            lhs = incomplete_lah_bell(n, k, _sym("x"))
-            weighted = incomplete_bell(n, k, _sym("x")).substitute_all(
+    bounds = f"n<={n_max}, k<=n"
+    weighted = (
+        (
+            f"n={n} k={k}",
+            incomplete_lah_bell(n, k, _sym("x")),
+            incomplete_bell(n, k, _sym("x")).substitute_all(
                 {Variable("x", i): factorial(i) * var(Variable("x", i)) for i in range(1, n + 2)}
-            )
-            if lhs != weighted:
-                failure = f"n={n} k={k}: {_shown(lhs)} vs {_shown(weighted)}"
-                break
-        if failure:
-            break
-    results.append(
-        _fail(suite, identity, bounds, failure) if failure else _ok(suite, identity, bounds)
+            ),
+        )
+        for n, k, _ in _triangles(n_max, 0)
     )
-    identity = "witness-sum route matches the closed-form triangle"
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            if lah_via_pi(n, k) != lah(n, k):
-                results.append(
-                    _fail(suite, identity, bounds, f"n={n} k={k}: {lah_via_pi(n, k)} vs {lah(n, k)}")
-                )
-                return results
-    results.append(_ok(suite, identity, bounds))
-    return results
+    triangle = ((f"n={n} k={k}", lah_via_pi(n, k), lah(n, k)) for n, k, _ in _triangles(n_max, 0))
+    return [
+        _verdict(
+            "prop2", "ordered-block partial polynomial equals weighted plain one", bounds,
+            _mismatches(weighted),
+        ),
+        _verdict(
+            "prop2", "witness-sum route matches the closed-form triangle", bounds,
+            _mismatches(triangle),
+        ),
+    ]
 
 
 def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "theorem3", f"1<=n<={n_max}"
     identity = "complete ordered-block polynomial splits into the partial ones"
-    for n in range(1, n_max + 1):
-        total = complete_lah_bell(n, _sym("x"))
-        summed = sum(
-            (incomplete_lah_bell(n, k, _sym("x")) for k in range(1, n + 1)),
-            const(0),
+    cases = (
+        (
+            f"n={n}",
+            complete_lah_bell(n, _sym("x")),
+            sum((incomplete_lah_bell(n, k, _sym("x")) for k in range(1, n + 1)), const(0)),
         )
-        if total != summed:
-            return [_fail(suite, identity, bounds, f"n={n}: {_shown(total)} vs {_shown(summed)}")]
-    return [_ok(suite, identity, bounds)]
+        for n in range(1, n_max + 1)
+    )
+    return [_verdict("theorem3", identity, f"1<=n<={n_max}", _mismatches(cases))]
 
 
 def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "eq23", f"n<={n_max}, k<=n, alpha in -3..3"
     identity = "partial ordered-block polynomials are homogeneous of degree k"
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            base = incomplete_lah_bell(n, k, _sym("x"))
-            for alpha in range(-3, 4):
-                scaled = base.substitute_all(
-                    {
-                        Variable("x", i): alpha * var(Variable("x", i))
-                        for i in range(1, n - k + 2)
-                    }
-                )
-                expected = base * alpha**k
-                if scaled != expected:
-                    return [
-                        _fail(
-                            suite,
-                            identity,
-                            bounds,
-                            f"n={n} k={k} alpha={alpha}: {_shown(scaled)} vs {_shown(expected)}",
-                        )
-                    ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (
+            f"n={n} k={k} alpha={alpha}",
+            base.substitute_all(
+                {Variable("x", i): alpha * var(Variable("x", i)) for i in range(1, n - k + 2)}
+            ),
+            base * alpha**k,
+        )
+        for n, k, _ in _triangles(n_max, 0)
+        for base in [incomplete_lah_bell(n, k, _sym("x"))]
+        for alpha in range(-3, 4)
+    )
+    bounds = f"n<={n_max}, k<=n, alpha in -3..3"
+    return [_verdict("eq23", identity, bounds, _mismatches(cases))]
 
 
 def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "eq28", f"n<={n_max}"
     identity = "all-equal-argument complete polynomial equals the row polynomial"
     x = var(SCALAR_X)
-    for n in range(n_max + 1):
-        lhs = complete_lah_bell(n, SequenceSpec.uniform(x))
-        rhs = lah_bell_polynomial(n, 0, x)
-        if lhs != rhs:
-            return [_fail(suite, identity, bounds, f"n={n}: {_shown(lhs)} vs {_shown(rhs)}")]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (f"n={n}", complete_lah_bell(n, SequenceSpec.uniform(x)), lah_bell_polynomial(n, 0, x))
+        for n in range(n_max + 1)
+    )
+    return [_verdict("eq28", identity, f"n<={n_max}", _mismatches(cases))]
 
 
 def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "eq30", f"n<={n_max}, k<=n, r<={r_max}"
     identity = "ordered-block extended polynomial equals factorially weighted plain one"
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            mapping = {
-                Variable("a", i): factorial(i) * var(Variable("a", i))
-                for i in range(1, n + 1)
-            }
-            mapping.update(
-                {
-                    Variable("b", j): factorial(j - 1) * var(Variable("b", j))
-                    for j in range(1, n + 2)
-                }
-            )
-            for k in range(n + 1):
-                lhs = incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b"))
-                rhs = incomplete_r_bell(n, k, 2 * r, _sym("a"), _sym("b")).substitute_all(mapping)
-                if lhs != rhs:
-                    return [
-                        _fail(
-                            suite,
-                            identity,
-                            bounds,
-                            f"n={n} k={k} r={r}: {_shown(lhs)} vs {_shown(rhs)}",
-                        )
-                    ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (
+            f"n={n} k={k} r={r}",
+            incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b")),
+            incomplete_r_bell(n, k, 2 * r, _sym("a"), _sym("b")).substitute_all(weights),
+        )
+        for n, r in _rows(n_max, r_max)
+        # one weight map per row, shared by the row's k
+        for weights in [
+            {Variable("a", i): factorial(i) * var(Variable("a", i)) for i in range(1, n + 1)}
+            | {Variable("b", j): factorial(j - 1) * var(Variable("b", j)) for j in range(1, n + 2)}
+        ]
+        for k in range(n + 1)
+    )
+    return [_verdict("eq30", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
 
 
 def _check_theorem4(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "theorem4", f"n<={n_max}, r<={r_max}"
     identity = "all-ones complete extended polynomial equals the row polynomial"
     x = var(SCALAR_X)
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            lhs = complete_r_lah_bell(n, r, x, ONES, ONES)
-            rhs = lah_bell_polynomial(n, r, x)
-            if lhs != rhs:
-                return [
-                    _fail(suite, identity, bounds, f"n={n} r={r}: {_shown(lhs)} vs {_shown(rhs)}")
-                ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (f"n={n} r={r}", complete_r_lah_bell(n, r, x, ONES, ONES), lah_bell_polynomial(n, r, x))
+        for n, r in _rows(n_max, r_max)
+    )
+    return [_verdict("theorem4", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
 
 
 def _check_theorem5(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "theorem5", f"n<={n_max}, k<=n, r<={r_max}"
     identity = "all-ones partial extended polynomial equals the extended triangle"
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = incomplete_r_lah_bell(n, k, r, ONES, ONES)
-                rhs = rlah(n, k, r)
-                if lhs != const(rhs):
-                    return [
-                        _fail(suite, identity, bounds, f"n={n} k={k} r={r}: {_shown(lhs)} vs {rhs}")
-                    ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (f"n={n} k={k} r={r}", incomplete_r_lah_bell(n, k, r, ONES, ONES), rlah(n, k, r))
+        for n, k, r in _triangles(n_max, r_max)
+    )
+    return [_verdict("theorem5", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
 
 
 def _check_corollary6(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "corollary6", f"n<={n_max}, k<=n, r<={r_max}"
     identity = "paired-witness multinomial sum matches the extended triangle"
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = rlah_via_lambda(n, k, r)
-                rhs = rlah(n, k, r)
-                if lhs != rhs:
-                    return [_fail(suite, identity, bounds, f"n={n} k={k} r={r}: {lhs} vs {rhs}")]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (f"n={n} k={k} r={r}", rlah_via_lambda(n, k, r), rlah(n, k, r))
+        for n, k, r in _triangles(n_max, r_max)
+    )
+    bounds = f"n<={n_max}, k<=n, r<={r_max}"
+    return [_verdict("corollary6", identity, bounds, _mismatches(cases))]
 
 
 def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "theorem7", f"n<={n_max}, r<={r_max}"
     identity = "partition-times-composition expansion equals the witness sum at x=1"
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            lhs = complete_r_lah_bell_expansion(n, r, _sym("x"), _sym("y"))
-            rhs = complete_r_lah_bell(n, r, 1, _sym("x"), _sym("y"))
-            if lhs != rhs:
-                return [
-                    _fail(suite, identity, bounds, f"n={n} r={r}: {_shown(lhs)} vs {_shown(rhs)}")
-                ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (
+            f"n={n} r={r}",
+            complete_r_lah_bell_expansion(n, r, _sym("x"), _sym("y")),
+            complete_r_lah_bell(n, r, 1, _sym("x"), _sym("y")),
+        )
+        for n, r in _rows(n_max, r_max)
+    )
+    return [_verdict("theorem7", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
 
 
 def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "eq42", f"n<={n_max}, r<={r_max}"
     identity = "scalar-argument partial sums rebuild the row polynomial"
     x = var(SCALAR_X)
     xs = SequenceSpec.uniform(x)
-    for r in range(r_max + 1):
-        for n in range(n_max + 1):
-            summed = sum(
-                (incomplete_r_lah_bell(n, k, r, xs, ONES) for k in range(n + 1)),
-                const(0),
-            )
-            rhs = lah_bell_polynomial(n, r, x)
-            if summed != rhs:
-                return [
-                    _fail(suite, identity, bounds, f"n={n} r={r}: {_shown(summed)} vs {_shown(rhs)}")
-                ]
-    return [_ok(suite, identity, bounds)]
+    cases = (
+        (
+            f"n={n} r={r}",
+            sum((incomplete_r_lah_bell(n, k, r, xs, ONES) for k in range(n + 1)), const(0)),
+            lah_bell_polynomial(n, r, x),
+        )
+        for n, r in _rows(n_max, r_max)
+    )
+    return [_verdict("eq42", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
 
 
 def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite, bounds = "faadibruno", f"1<=m<={max(n_max, 1)}"
     identity = "series derivatives at 0 equal the factorial Bell values"
-    for m in range(1, max(n_max, 1) + 1):
-        report = faa_di_bruno_check(m)
-        if not report.passed:
-            return [
-                _fail(
-                    suite,
-                    identity,
-                    bounds,
-                    f"m={m}: series={report.series_value} partitions={report.partition_value}",
-                )
-            ]
-    return [_ok(suite, identity, bounds)]
+    top = max(n_max, 1)
+    reports = (faa_di_bruno_check(m) for m in range(1, top + 1))
+    failures = (
+        f"m={report.m}: series={report.series_value} partitions={report.partition_value}"
+        for report in reports
+        if not report.passed
+    )
+    return [_verdict("faadibruno", identity, f"1<=m<={top}", failures)]
 
 
 def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
@@ -301,17 +271,17 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         # declared first, varies slowest; x, a and b are the same at every point.
         swept = [name for name in GF_FAMILIES[family] if name in sweeps]
         given = {name: fixed[name] for name in GF_FAMILIES[family] if name in fixed}
-        for values in itertools.product(*(sweeps[name] for name in swept)):
-            point = dict(zip(swept, values))
-            got = gf_expand(family, n_max, **point, **given)
-            for n in range(n_max + 1):
-                expected = want(n, *values)
-                if got[n] != expected:
-                    where = " ".join(f"{name}={value}" for name, value in {"n": n, **point}.items())
-                    return _fail(
-                        suite, identity, bounds, f"{where}: {_shown(got[n])} vs {_shown(expected)}"
-                    )
-        return _ok(suite, identity, bounds)
+        cases = (
+            (
+                " ".join(f"{name}={value}" for name, value in [("n", n), *zip(swept, values)]),
+                got[n],
+                want(n, *values),
+            )
+            for values in itertools.product(*(sweeps[name] for name in swept))
+            for got in [gf_expand(family, n_max, **dict(zip(swept, values)), **given)]
+            for n in range(n_max + 1)
+        )
+        return _verdict(suite, identity, bounds, _mismatches(cases))
 
     # The families share heads A^k/k! and exp(x A) and tails B^m across the
     # grid; inside the scope gf_expand builds each of them once.  The want
@@ -376,14 +346,13 @@ SUITE_NAMES = ("all",) + tuple(_SUITES)
 
 
 def run_suites(suite: str, n_max: int, r_max: int) -> list[IdentityResult]:
-    """Run one named suite (or every suite for 'all') at the given bounds."""
-    if n_max < 0 or r_max < 0:
-        raise ValueError("bounds must be nonnegative")
-    if suite == "all":
-        results = []
-        for check in _SUITES.values():
-            results.extend(check(n_max, r_max))
-        return results
-    if suite not in _SUITES:
+    """Run one named suite (or every suite for 'all') at the given bounds.
+
+    A bound that is not an int, or is a bool, raises TypeError; a negative
+    bound or an unknown suite raises ValueError.
+    """
+    _check_nonnegative_int(n_max=n_max, r_max=r_max)
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite: {suite!r}")
-    return _SUITES[suite](n_max, r_max)
+    checks = _SUITES.values() if suite == "all" else [_SUITES[suite]]
+    return [result for check in checks for result in check(n_max, r_max)]

@@ -76,6 +76,8 @@ GOLDEN_CASES = [
         ],
         "poly_complete_r_lah_bell_n2_r1_x3.json",
     ),
+    (["verify", "--suite", "all"], "verify_all.txt"),
+    (["verify", "--suite", "all", "--format", "json"], "verify_all.json"),
 ]
 
 

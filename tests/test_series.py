@@ -283,6 +283,25 @@ def test_gf_expand_refuses_bad_integer_parameters(scoped):
             gf_expand("lah", True, k=1)
 
 
+def test_series_integer_arguments_refuse_bools_and_floats():
+    """Orders and exponents are checked as gf_expand checks its own: a bool
+    or a float is not taken for the int it compares equal to."""
+    s = from_sequence(ONES, "ordinary", 1, 3)
+    cases = [
+        (lambda: s.pow(True), TypeError, "^exponent must be an int, got bool"),
+        (lambda: s.pow(2.0), TypeError, "^exponent must be an int, got float"),
+        (lambda: s.pow(-1), ValueError, "^exponent must be nonnegative, got -1"),
+        (lambda: from_sequence(ONES, "ordinary", 1, True), TypeError, "^order must be an int, got bool"),
+        (lambda: from_sequence(ONES, "ordinary", 1, 2.0), TypeError, "^order must be an int, got float"),
+        (lambda: TruncatedSeries(True, (const(1), const(1))), TypeError, "^order must be an int, got bool"),
+        (lambda: TruncatedSeries(-1, ()), ValueError, "^order must be nonnegative, got -1"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=message):
+            call()
+    assert s.pow(2) == s * s
+
+
 # The series-oracle grid at n_max 8, r_max 2.
 _SWEEPS = {"k": range(9), "r": range(3), "rho": range(5)}
 

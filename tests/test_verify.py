@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from lahbell import series, verify
+from lahbell.bell import ONES
 from lahbell.poly import SparsePolynomial
 from lahbell.series import TruncatedSeries
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
@@ -49,6 +50,14 @@ def test_bad_arguments_rejected():
         run_suites("all", 5, -2)
 
 
+def test_bounds_must_be_ints():
+    # a bool or float bound is refused before any suite runs
+    for n_max, r_max in [(True, 0), (0, False), (2.0, 1), (2, 1.0), ("2", 1)]:
+        for suite in ("eq28", "theorem1", "all"):
+            with pytest.raises(TypeError, match="^(n|r)_max must be an int"):
+                run_suites(suite, n_max, r_max)
+
+
 def test_tiny_bounds_still_run():
     results = run_suites("all", 0, 0)
     assert all(item.passed for item in results)
@@ -61,6 +70,17 @@ def _plus_one(value):
     if isinstance(value, list):
         return [c + 1 for c in value]
     return value + 1
+
+
+def _break(monkeypatch, owner, name, only=None, shift=_plus_one):
+    """Replace owner.name by a copy whose result is shifted wherever only(args) holds."""
+    original = getattr(owner, name)
+
+    def broken(*args, **kwargs):
+        got = original(*args, **kwargs)
+        return shift(got) if only is None or only(args) else got
+
+    monkeypatch.setattr(owner, name, broken)
 
 
 def _row(owner, name, suite, identity, counterexample, only=None):
@@ -172,16 +192,52 @@ FAULT_ROWS = [
 def test_series_oracle_reports_the_broken_route(
     monkeypatch, owner, name, only, suite, identity, counterexample
 ):
-    original = getattr(owner, name)
-
-    def broken(*args, **kwargs):
-        got = original(*args, **kwargs)
-        return _plus_one(got) if only is None or only(args) else got
-
-    monkeypatch.setattr(owner, name, broken)
+    _break(monkeypatch, owner, name, only)
     results = run_suites(suite, 3, 1)
     failed = [(item.identity, item.counterexample) for item in results if not item.passed]
     assert failed == [(identity, counterexample)]
+
+
+# A counterexample cuts a polynomial's text at 60 characters and shows an int
+# in full.  Each row breaks one route as a fault row does, by the given shift.
+SHOWN_ROWS = [
+    pytest.param(
+        verify, "complete_r_lah_bell", lambda args: args[:2] == (3, 1), _plus_one,
+        "theorem7", T7,
+        "n=3 r=1: x1^3*y1^2 + 6*x1^2*y1*y2 + 6*x1*x2*y1^2 + 12*x1*y1*y3 + 6..."
+        " vs x1^3*y1^2 + 6*x1^2*y1*y2 + 6*x1*x2*y1^2 + 12*x1*y1*y3 + 6...",
+        id="polynomial-cut-at-60",
+    ),
+    pytest.param(
+        verify, "rlah", None, lambda value: value + 10**70, "theorem5", T5,
+        "n=0 k=0 r=0: 1 vs 1" + "0" * 69 + "1",
+        id="int-in-full",
+    ),
+]
+
+
+@pytest.mark.parametrize("owner,name,only,shift,suite,identity,counterexample", SHOWN_ROWS)
+def test_counterexample_text(monkeypatch, owner, name, only, shift, suite, identity, counterexample):
+    _break(monkeypatch, owner, name, only, shift)
+    failed = [(item.identity, item.counterexample) for item in run_suites(suite, 3, 1)]
+    assert failed == [(identity, counterexample)]
+
+
+def test_a_suite_stops_at_its_first_counterexample(monkeypatch):
+    """Nothing after the first counterexample is computed: with the closed form
+    off at n=0, theorem5 builds its first witness sum and no other."""
+    calls = Counter()
+    witness_sum = verify.incomplete_r_lah_bell
+
+    def counted(*args):
+        calls[args] += 1
+        return witness_sum(*args)
+
+    _break(monkeypatch, verify, "rlah")
+    monkeypatch.setattr(verify, "incomplete_r_lah_bell", counted)
+    [result] = run_suites("theorem5", 3, 1)
+    assert not result.passed
+    assert list(calls.elements()) == [(0, 0, 0, ONES, ONES)]
 
 
 def test_series_oracle_builds_each_head_and_tail_once(monkeypatch):
