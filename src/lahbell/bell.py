@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from .exact_core import _check_nonnegative, _rlah_walk, exact_div, factorial, factorials_upto
+from .exact_core import _check_nonnegative_int, _rlah_walk, exact_div, factorial, factorials_upto
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
@@ -197,7 +197,7 @@ def _witness_sum(
     form a block type m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i!
     divides n!, k_i! divides m_i!, and prod r_i! divides rho!.
     """
-    _check_nonnegative(n=n, rho=rho)
+    _check_nonnegative_int(n=n, rho=rho)
     facts = factorials_upto(max(n, rho))
     a_factors = _Factors(a, 0, facts, block_weights)
     b_factors = _Factors(b, 1, facts, block_weights)
@@ -258,7 +258,7 @@ def incomplete_r_bell(
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
     """Sum of incomplete_r_bell(n, k, rho, a, b) over k = 0..n."""
-    _check_nonnegative(n=n, rho=rho)
+    _check_nonnegative_int(n=n, rho=rho)
     total = PolyAccumulator()
     for k in range(n + 1):
         total.add(incomplete_r_bell(n, k, rho, a, b))
@@ -290,6 +290,7 @@ def incomplete_r_lah_bell(
     Term coefficient n!/prod(k_i!) * (2r)!/prod(r_i!) on
     prod a_i^k_i * prod b_{i+1}^r_i; all-integer throughout.
     """
+    _check_nonnegative_int(r=r)
     witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, 2 * r))
     return _witness_sum(n, 2 * r, witnesses, a, b, block_weights=False)
 
@@ -302,7 +303,7 @@ def complete_r_lah_bell(
     b: SequenceSpec,
 ) -> SparsePolynomial:
     """Sum over k of x^k times incomplete_r_lah_bell(n, k, r, a, b)."""
-    _check_nonnegative(n=n, r=r)
+    _check_nonnegative_int(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
@@ -318,7 +319,7 @@ def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> Spar
     Computed from the closed-form numbers, walked along the row, independently
     of the witness sums, so it can serve as an oracle for them.
     """
-    _check_nonnegative(n=n, r=r)
+    _check_nonnegative_int(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
@@ -341,7 +342,7 @@ def complete_r_lah_bell_expansion(
     complete_lah_bell(k, xs).  The sum over tuples is the t^(n-k) coefficient
     of (sum_l ys(l+1) t^l)^(2r), one truncated series power for every k.
     """
-    _check_nonnegative(n=n, r=r)
+    _check_nonnegative_int(n=n, r=r)
     # ys(1..n+1), top index first, so a too-short explicit ys fails at n + 1
     ybase = [ys.at(l + 1) for l in range(n, -1, -1)][::-1] if r else []
     ysums = [ONE] + [ZERO] * n
@@ -363,8 +364,7 @@ def complete_r_lah_bell_expansion(
 
 def moments_from_cumulants(kappas: Sequence[int], n: int) -> int:
     """n-th raw moment from the first n cumulants via the complete Bell sum."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_nonnegative_int(n=n)
     if len(kappas) < n:
         raise ValueError(f"need at least {n} cumulants, got {len(kappas)}")
     return complete_bell(n, SequenceSpec.explicit(tuple(kappas))).as_int()

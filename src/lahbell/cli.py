@@ -226,17 +226,6 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> di
     }
 
 
-def _render(parser: argparse.ArgumentParser, record: dict, fmt: str) -> str:
-    kind = record["kind"]
-    if fmt == "csv" and kind not in ("triangle", "sequence"):
-        parser.error("csv output is only available for tables")
-    if fmt == "text":
-        return _render_text(record)
-    if fmt == "csv":
-        return _render_csv(record)
-    return _render_json(record)
-
-
 def _render_text(record: dict) -> str:
     kind = record["kind"]
     if kind == "triangle":
@@ -303,7 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             # not a refused input.  The usage text would not help here, so
             # this is parser.error's message and exit status alone.
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
-        sys.stdout.write(_render(parser, record, args.format))
+        # argparse offers csv only to table, whose records are all tables
+        render = {"text": _render_text, "csv": _render_csv, "json": _render_json}[args.format]
+        sys.stdout.write(render(record))
         if record["kind"] == "verdict":
             return 0 if all(item.passed for item in record["results"]) else 1
         return 0

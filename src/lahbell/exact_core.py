@@ -11,6 +11,10 @@ neighbour ratio rlah(n, k+1, r) = rlah(n, k, r) * (n-k) / ((k+1)(k+2r)),
 one big-int product and one exact division per entry (_rlah_walk).  The row
 totals and the callers that read a whole row use that walk; lah and rlah
 keep the direct formula for single entries.
+
+_check_nonnegative_int is the package's one rule for a count argument (an n,
+k, r, rho, order, exponent or index): a bool or any other non-int raises
+TypeError and a negative int raises ValueError, each naming the parameter.
 """
 
 from __future__ import annotations
@@ -50,12 +54,6 @@ def exact_div(a: int, b: int) -> int:
     return q
 
 
-def _check_nonnegative(**values: int) -> None:
-    for name, value in values.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 def _check_nonnegative_int(**values: int) -> None:
     """TypeError unless each value is an int and not a bool; ValueError if negative."""
     for name, value in values.items():
@@ -67,13 +65,13 @@ def _check_nonnegative_int(**values: int) -> None:
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
-    _check_nonnegative(n=n)
+    _check_nonnegative_int(n=n)
     return math.factorial(n)
 
 
 def factorials_upto(m: int) -> list[int]:
     """[0!, 1!, ..., m!], built by running products for callers that need many."""
-    _check_nonnegative(m=m)
+    _check_nonnegative_int(m=m)
     table = [1] * (m + 1)
     for i in range(2, m + 1):
         table[i] = table[i - 1] * i
@@ -82,7 +80,7 @@ def factorials_upto(m: int) -> list[int]:
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) for n >= 0, defined as 0 whenever k < 0 or k > n."""
-    _check_nonnegative(n=n)
+    _check_nonnegative_int(n=n)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -93,7 +91,7 @@ def multinomial(parts: Iterable[int]) -> int:
     total = 0
     result = 1
     for part in parts:
-        _check_nonnegative(part=part)
+        _check_nonnegative_int(part=part)
         total += part
         result *= math.comb(total, part)
     return result
@@ -116,7 +114,7 @@ def rlah(n: int, k: int, r: int) -> int:
     Closed form (n!/k!) * C(n+2r-1, k+2r-1), n!/k! being the falling product
     n(n-1)...(k+1).  binomial, unlike math.comb, gives 0 for k = 0 at r = 0.
     """
-    _check_nonnegative(n=n, k=k, r=r)
+    _check_nonnegative_int(n=n, k=k, r=r)
     if k > n:
         return 0
     if n == 0:
@@ -148,5 +146,5 @@ def lah_bell_number(n: int) -> int:
 
 def r_lah_bell_number(n: int, r: int) -> int:
     """Row total of the r-extended triangle: sum of rlah(n, k, r) over k."""
-    _check_nonnegative(n=n, r=r)
+    _check_nonnegative_int(n=n, r=r)
     return sum(_rlah_walk(n, r))

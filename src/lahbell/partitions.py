@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact_core import exact_div, factorials_upto
+from .exact_core import _check_nonnegative_int, exact_div, factorials_upto
 
 __all__ = [
     "PiWitness",
@@ -90,8 +90,7 @@ _Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
 def _paired_parts(n: int, k: int, rho: int) -> Iterator[_Parts]:
     """Trimmed (k_part, r_part) tuples for (n, k, rho), in stream order."""
-    if n < 0 or k < 0 or rho < 0:
-        raise ValueError("n, k and rho must be nonnegative")
+    _check_nonnegative_int(n=n, k=k, rho=rho)
     if k > n:
         return
     cap = n - k + 1
@@ -154,8 +153,6 @@ def enumerate_pi(n: int, k: int) -> Iterator[PiWitness]:
     The stream is empty when k > n, and holds the single all-zero witness
     when n = k = 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
     length = n - k + 1
     for k_part, _ in _paired_parts(n, k, 0):
         yield PiWitness(k_part + (0,) * (length - len(k_part)))
@@ -174,6 +171,7 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[LambdaWitness]:
 
 def lah_via_pi(n: int, k: int) -> int:
     """Partition-sum route to lah(n, k): sum over witnesses of n!/prod(j_i!)."""
+    _check_nonnegative_int(n=n, k=k)
     total = 0
     facts = factorials_upto(n)
     nf = facts[n]
@@ -191,6 +189,7 @@ def rlah_via_lambda(n: int, k: int, r: int) -> int:
 
     Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses.
     """
+    _check_nonnegative_int(n=n, k=k, r=r)
     total = 0
     facts = factorials_upto(max(n, 2 * r))
     nf = facts[n]

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
-from .exact_core import exact_div
+from .exact_core import _check_nonnegative_int, exact_div
 
 __all__ = [
     "Variable",
@@ -64,6 +64,7 @@ class Variable:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_RANK:
             raise ValueError(f"unknown variable family: {self.family!r}")
+        _check_nonnegative_int(index=self.index)
         if self.family == "scalar":
             if self.index != 1:
                 raise ValueError("the scalar indeterminate carries no index")
@@ -158,10 +159,7 @@ class Monomial:
         for v, e in items.items():
             if not isinstance(v, Variable):
                 raise TypeError(f"monomial keys must be Variable, got {type(v).__name__}")
-            if not isinstance(e, int):
-                raise TypeError(f"exponents must be int, got {type(e).__name__}")
-            if e < 0:
-                raise ValueError(f"negative exponent for {v.name}")
+            _check_nonnegative_int(exponent=e)
         self._pairs: tuple[tuple[int, int], ...] = tuple(
             sorted((_code(v), e) for v, e in items.items() if e)
         )
@@ -533,7 +531,7 @@ def var(v: Union[Variable, str]) -> SparsePolynomial:
 
 def indexed_var(family: str, index: int) -> SparsePolynomial:
     """var(Variable(family, index)), without building the Variable again."""
-    if family in _FAMILY_RANK and 0 < index < _INDEX_LIMIT:
+    if family in _FAMILY_RANK and type(index) is int and 0 < index < _INDEX_LIMIT:
         poly = _VAR_POLYS.get(_FAMILY_RANK[family] << _RANK_SHIFT | index)
         if poly is not None:
             return poly

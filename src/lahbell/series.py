@@ -157,9 +157,9 @@ def from_sequence(
     """
     if kind not in ("ordinary", "egf"):
         raise ValueError(f"kind must be 'ordinary' or 'egf', got {kind!r}")
-    if start not in (0, 1):
+    _check_nonnegative_int(start=start, order=order)
+    if start > 1:
         raise ValueError(f"start must be 0 or 1, got {start}")
-    _check_nonnegative_int(order=order)
     coeffs = []
     for j in range(order + 1):
         m = j - start
@@ -371,10 +371,10 @@ def faa_di_bruno_check(m: int, order: int | None = None) -> DerivativeCheck:
     arguments, which is what the chain rule for exp(f) prescribes when every
     derivative of f at 0 is j!.
     """
+    order = m if order is None else order
+    _check_nonnegative_int(m=m, order=order)
     if m < 1:
         raise ValueError("m must be at least 1")
-    if order is None:
-        order = m
     if order < m:
         raise ValueError(f"order {order} is too small for m = {m}")
     s = exp(from_sequence(ONES, "ordinary", 1, order))

@@ -17,6 +17,7 @@ counterexample text themselves and feed _verdict the same way.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -56,11 +57,18 @@ class IdentityResult:
     counterexample: str | None = None
 
 
-def _shown(value: SparsePolynomial | int) -> str:
-    """An int in full; a polynomial's text, cut at 60 characters."""
-    if isinstance(value, int):
-        return str(value)
-    text = value.to_text()
+def _shown(got: SparsePolynomial | int, want: SparsePolynomial | int) -> tuple[str, ...]:
+    """Both sides as text: ints in full, polynomials cut at 60 characters, and
+    from 20 characters before their first difference if they agree at the cut."""
+    texts = [v if isinstance(v, int) else v.to_text() for v in (got, want)]
+    same = len(os.path.commonprefix(texts)) if all(isinstance(t, str) for t in texts) else 0
+    start = same - 20 if same >= 57 and max(map(len, texts)) > 60 else 0
+    return tuple(str(t) if isinstance(t, int) else _cut(t, start) for t in texts)
+
+
+def _cut(text: str, start: int) -> str:
+    """text from start, behind "..." unless start is 0, in at most 60 characters."""
+    text = "..." + text[start:] if start else text
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -68,7 +76,7 @@ def _mismatches(cases: Iterable[tuple[str, object, object]]) -> Iterator[str]:
     """'where: got vs want' for each (where, got, want) case whose sides differ."""
     for where, got, want in cases:
         if got != want:
-            yield f"{where}: {_shown(got)} vs {_shown(want)}"
+            yield f"{where}: " + " vs ".join(_shown(got, want))
 
 
 def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) -> IdentityResult:
@@ -96,7 +104,7 @@ def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
     expanded = gf_expand("lah-bell", n_max)
     routes = ((n, lah_bell_number(n), complete_bell(n, FACTORIALS)) for n in range(n_max + 1))
     failures = (
-        f"n={n}: closed={closed} bell={_shown(bell)} series={_shown(expanded[n])}"
+        "n={}: closed={} bell={} series={}".format(n, closed, *_shown(bell, expanded[n]))
         for n, closed, bell in routes
         if bell != const(closed) or expanded[n] != const(closed)
     )

@@ -32,6 +32,16 @@ def test_variable_names_and_validation():
         Variable.from_name("x01")
 
 
+def test_variable_index_must_be_an_int():
+    """A bool index is not read as 1: Variable("x", True) would take x1's
+    code, and every x1 made afterwards would render as xTrue."""
+    for index, kind in ((True, "bool"), (1.5, "float")):
+        with pytest.raises(TypeError, match=f"^index must be an int, got {kind}"):
+            Variable("x", index)
+        with pytest.raises(TypeError, match=f"^index must be an int, got {kind}"):
+            indexed_var("x", index)
+
+
 def test_monomial_canonical_form():
     m = Monomial(((Variable("x", 2), 1), (Variable("x", 1), 2), (Variable("x", 3), 0)))
     assert str(m) == "x1^2*x2"
@@ -105,6 +115,8 @@ def test_exponents_that_are_not_ints_are_refused():
         term(1, x1=1.5)
     with pytest.raises(TypeError):
         Monomial({Variable("x", 1): 0.5})
+    with pytest.raises(TypeError, match="^exponent must be an int, got bool"):
+        Monomial({Variable("x", 1): True})
 
 
 def test_substitute_and_evaluate():

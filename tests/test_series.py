@@ -295,6 +295,10 @@ def test_series_integer_arguments_refuse_bools_and_floats():
         (lambda: from_sequence(ONES, "ordinary", 1, 2.0), TypeError, "^order must be an int, got float"),
         (lambda: TruncatedSeries(True, (const(1), const(1))), TypeError, "^order must be an int, got bool"),
         (lambda: TruncatedSeries(-1, ()), ValueError, "^order must be nonnegative, got -1"),
+        (lambda: from_sequence(ONES, "ordinary", True, 3), TypeError, "^start must be an int, got bool"),
+        (lambda: from_sequence(ONES, "ordinary", 1.0, 3), TypeError, "^start must be an int, got float"),
+        (lambda: faa_di_bruno_check(True), TypeError, "^m must be an int, got bool"),
+        (lambda: faa_di_bruno_check(2, True), TypeError, "^order must be an int, got bool"),
     ]
     for call, error, message in cases:
         with pytest.raises(error, match=message):

@@ -7,7 +7,7 @@ import pytest
 
 from lahbell import series, verify
 from lahbell.bell import ONES
-from lahbell.poly import SparsePolynomial
+from lahbell.poly import SparsePolynomial, const, var
 from lahbell.series import TruncatedSeries
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
 
@@ -198,14 +198,15 @@ def test_series_oracle_reports_the_broken_route(
     assert failed == [(identity, counterexample)]
 
 
-# A counterexample cuts a polynomial's text at 60 characters and shows an int
-# in full.  Each row breaks one route as a fault row does, by the given shift.
+# A counterexample cuts a polynomial's text at 60 characters, from 20
+# characters before the first difference when the two sides agree past the
+# cut, and shows an int in full.  Each row breaks one route as a fault row
+# does, by the given shift.
 SHOWN_ROWS = [
     pytest.param(
         verify, "complete_r_lah_bell", lambda args: args[:2] == (3, 1), _plus_one,
         "theorem7", T7,
-        "n=3 r=1: x1^3*y1^2 + 6*x1^2*y1*y2 + 6*x1*x2*y1^2 + 12*x1*y1*y3 + 6..."
-        " vs x1^3*y1^2 + 6*x1^2*y1*y2 + 6*x1*x2*y1^2 + 12*x1*y1*y3 + 6...",
+        "n=3 r=1: ... 12*y1*y4 + 12*y2*y3 vs ... 12*y1*y4 + 12*y2*y3 + 1",
         id="polynomial-cut-at-60",
     ),
     pytest.param(
@@ -221,6 +222,26 @@ def test_counterexample_text(monkeypatch, owner, name, only, shift, suite, ident
     _break(monkeypatch, owner, name, only, shift)
     failed = [(item.identity, item.counterexample) for item in run_suites(suite, 3, 1)]
     assert failed == [(identity, counterexample)]
+
+
+def test_shown_cuts_both_sides_from_the_same_start():
+    xs = sum((var(f"x{i}") for i in range(1, 30)), const(0))
+    ys = sum((var(f"y{i}") for i in range(1, 30)), const(0))
+    text = xs.to_text()
+    # the sides first differ at the end, past the cut
+    assert verify._shown(xs, xs + 1) == ("..." + text[-20:], "..." + text[-20:] + " + 1")
+    # they differ before the cut: both cut at 57 characters from the start
+    fewer = (xs - var("x1")).to_text()
+    assert verify._shown(xs, xs - var("x1")) == (text[:57] + "...", fewer[:57] + "...")
+    # both sides run on past 60 characters from their common start
+    more, less = (xs + ys).to_text(), (xs + ys - var("x29")).to_text()
+    start = more.index("x29") - 20
+    assert verify._shown(xs + ys, xs + ys - var("x29")) == (
+        "..." + more[start : start + 54] + "...",
+        "..." + less[start : start + 54] + "...",
+    )
+    # an int stays in full
+    assert verify._shown(3, xs) == ("3", text[:57] + "...")
 
 
 def test_a_suite_stops_at_its_first_counterexample(monkeypatch):
