@@ -34,8 +34,6 @@ from .exact_core import (
     rlah,
 )
 from .partitions import (
-    LambdaWitness,
-    PiWitness,
     enumerate_lambda,
     enumerate_pi,
     lah_via_pi,
@@ -70,10 +68,8 @@ __all__ = [
     "GF_FAMILIES",
     "IdentityResult",
     "IntegralityError",
-    "LambdaWitness",
     "Monomial",
     "ONES",
-    "PiWitness",
     "PolyAccumulator",
     "SCALAR_X",
     "SUITE_NAMES",

@@ -94,7 +94,7 @@ class SequenceSpec:
     def explicit(values: Sequence[int]) -> "SequenceSpec":
         values = tuple(values)
         for value in values:
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"sequence values must be int, got {type(value).__name__}")
         return SequenceSpec("explicit", values=values)
 
@@ -226,7 +226,7 @@ def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
 
     Zero for k > n; the empty witness makes (0, 0) give 1.
     """
-    witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
+    witnesses = ((j, ()) for j in enumerate_pi(n, k))
     return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True)
 
 
@@ -252,8 +252,7 @@ def incomplete_r_bell(
     is an integer, because k_i + r_i is the count of size-i blocks in a set
     partition of n elements (see _witness_sum).
     """
-    witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho))
-    return _witness_sum(n, rho, witnesses, a, b, block_weights=True)
+    return _witness_sum(n, rho, enumerate_lambda(n, k, rho), a, b, block_weights=True)
 
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
@@ -272,7 +271,7 @@ def incomplete_lah_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     the i! block weights of the ordered-block model cancel the 1/i! of the
     plain model, leaving an all-integer multinomial.
     """
-    witnesses = ((w.j, ()) for w in enumerate_pi(n, k))
+    witnesses = ((j, ()) for j in enumerate_pi(n, k))
     return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False)
 
 
@@ -291,8 +290,7 @@ def incomplete_r_lah_bell(
     prod a_i^k_i * prod b_{i+1}^r_i; all-integer throughout.
     """
     _check_nonnegative_int(r=r)
-    witnesses = ((w.k_part, w.r_part) for w in enumerate_lambda(n, k, 2 * r))
-    return _witness_sum(n, 2 * r, witnesses, a, b, block_weights=False)
+    return _witness_sum(n, 2 * r, enumerate_lambda(n, k, 2 * r), a, b, block_weights=False)
 
 
 def complete_r_lah_bell(

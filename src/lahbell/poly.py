@@ -9,13 +9,14 @@ exponents, variables ordered family-first then index.
 
 Inside a Monomial each variable is an int code, rank << 40 | index, where
 rank is the family's place in the order x, a, b, y, scalar.  Indices stay
-below 2**40, so ordering codes as ints orders variables exactly as
-Variable.sort_key does.  A monomial stores a tuple of (code, exponent)
-pairs sorted by code, and a product is a single merge of two such tuples;
-only the public Monomial constructor validates and sorts.  Codes turn back
-into variables only at the API edge: pairs, variables(), exponent(),
-sort_key() and the renderings.  var() hands out one shared polynomial per
-variable, which is safe because polynomials are never mutated.
+below 2**40, so ordering codes as ints orders variables family-first then
+index, and a code alone says which variable it is: its high bits give the
+family and its low bits the index.  A monomial stores a tuple of (code,
+exponent) pairs sorted by code, and a product is a single merge of two such
+tuples; only the public Monomial constructor validates and sorts.  Codes
+are decoded only at the API edge: pairs, variables() and the renderings.
+var() hands out one shared polynomial per variable, which is safe because
+polynomials are never mutated.
 
 Polynomials hash consistently with equality, including equality with an
 int: hash(const(c)) == hash(c).
@@ -47,8 +48,9 @@ __all__ = [
     "product",
 ]
 
-_FAMILY_RANK = {"x": 0, "a": 1, "b": 2, "y": 3, "scalar": 4}
-_INDEXED_FAMILIES = ("x", "a", "b", "y")
+_FAMILIES = ("x", "a", "b", "y", "scalar")
+_FAMILY_RANK = {family: rank for rank, family in enumerate(_FAMILIES)}
+_INDEXED_FAMILIES = _FAMILIES[:-1]
 _RANK_SHIFT = 40
 _INDEX_LIMIT = 1 << _RANK_SHIFT
 _INDEX_MASK = _INDEX_LIMIT - 1
@@ -74,17 +76,13 @@ class Variable:
             raise ValueError(f"variable index must be below 2**{_RANK_SHIFT}, got {self.index}")
 
     @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_FAMILY_RANK[self.family], self.index)
-
-    @property
     def code(self) -> int:
         """The int that stands for this variable inside a Monomial."""
         return _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index
 
     @property
     def name(self) -> str:
-        return "x" if self.family == "scalar" else f"{self.family}{self.index}"
+        return _name(self.code)
 
     @classmethod
     def from_name(cls, name: str) -> "Variable":
@@ -99,16 +97,15 @@ class Variable:
 
 SCALAR_X = Variable("scalar")
 
-# code -> Variable for every variable that has entered a monomial, so codes
-# can be turned back into variables; one entry per distinct variable.
-_VARIABLES: dict[int, Variable] = {}
+
+def _name(code: int) -> str:
+    """The name of the variable with this code: 'x' for the scalar, else 'a3'."""
+    family = _FAMILIES[code >> _RANK_SHIFT]
+    return "x" if family == "scalar" else f"{family}{code & _INDEX_MASK}"
 
 
-def _code(v: Variable) -> int:
-    code = v.code
-    if code not in _VARIABLES:
-        _VARIABLES[code] = v
-    return code
+def _variable(code: int) -> Variable:
+    return Variable(_FAMILIES[code >> _RANK_SHIFT], code & _INDEX_MASK)
 
 
 def _merge(p: tuple, q: tuple) -> tuple:
@@ -161,7 +158,7 @@ class Monomial:
                 raise TypeError(f"monomial keys must be Variable, got {type(v).__name__}")
             _check_nonnegative_int(exponent=e)
         self._pairs: tuple[tuple[int, int], ...] = tuple(
-            sorted((_code(v), e) for v, e in items.items() if e)
+            sorted((v.code, e) for v, e in items.items() if e)
         )
         self._hash = hash(self._pairs)
 
@@ -175,7 +172,7 @@ class Monomial:
 
     @property
     def pairs(self) -> tuple[tuple[Variable, int], ...]:
-        return tuple((_VARIABLES[c], e) for c, e in self._pairs)
+        return tuple((_variable(c), e) for c, e in self._pairs)
 
     @property
     def degree(self) -> int:
@@ -184,16 +181,6 @@ class Monomial:
     @property
     def is_unit(self) -> bool:
         return not self._pairs
-
-    def exponent(self, v: Variable) -> int:
-        code = v.code
-        for c, e in self._pairs:
-            if c == code:
-                return e
-        return 0
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(_VARIABLES[c] for c, _ in self._pairs)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -219,17 +206,13 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         """Ascending sort by this key lists monomials in descending graded lex."""
-        return (
-            -self.degree,
-            tuple((c >> _RANK_SHIFT, c & _INDEX_MASK, -e) for c, e in self._pairs),
-        )
+        return (-self.degree, tuple((c, -e) for c, e in self._pairs))
 
     def __str__(self) -> str:
         if not self._pairs:
             return "1"
         return "*".join(
-            _VARIABLES[c].name if e == 1 else f"{_VARIABLES[c].name}^{e}"
-            for c, e in self._pairs
+            _name(c) if e == 1 else f"{_name(c)}^{e}" for c, e in self._pairs
         )
 
     def __repr__(self) -> str:
@@ -280,18 +263,11 @@ class SparsePolynomial:
         for mono in sorted(self._terms, key=Monomial.sort_key):
             yield mono, self._terms[mono]
 
-    def items(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in arbitrary order, for order-insensitive consumers."""
-        return iter(self._terms.items())
-
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
-
     def variables(self) -> list[Variable]:
         seen = set()
         for mono in self._terms:
             seen.update(c for c, _ in mono._pairs)
-        return [_VARIABLES[c] for c in sorted(seen)]
+        return [_variable(c) for c in sorted(seen)]
 
     def as_int(self) -> int:
         """The value of a constant polynomial; error if any variable remains."""
@@ -325,6 +301,7 @@ class SparsePolynomial:
 
     def __mul__(self, other: Union["SparsePolynomial", int]) -> "SparsePolynomial":
         if isinstance(other, int):
+            _check_coefficient(other)
             if other == 0:
                 return ZERO
             return SparsePolynomial._raw({m: c * other for m, c in self._terms.items()})
@@ -411,10 +388,10 @@ class SparsePolynomial:
         return total
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._terms == as_poly(other)._terms
         if isinstance(other, SparsePolynomial):
             return self._terms == other._terms
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self._terms == const(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -451,7 +428,7 @@ class SparsePolynomial:
             "terms": [
                 {
                     "coeff": str(coeff),
-                    "monomial": {_VARIABLES[c].name: e for c, e in mono._pairs},
+                    "monomial": {_name(c): e for c, e in mono._pairs},
                 }
                 for mono, coeff in self.terms()
             ]
@@ -500,7 +477,7 @@ class PolyAccumulator:
 
 
 def _check_coefficient(value: int) -> None:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"polynomial coefficients must be int, got {type(value).__name__}")
 
 

@@ -35,7 +35,7 @@ from lahbell.exact_core import (
     r_lah_bell_number,
     rlah,
 )
-from lahbell.poly import SCALAR_X, Monomial, SparsePolynomial, Variable, const, term, var
+from lahbell.poly import SCALAR_X, Monomial, SparsePolynomial, Variable, as_poly, const, term, var
 
 X = SequenceSpec.symbolic("x")
 A = SequenceSpec.symbolic("a")
@@ -389,6 +389,13 @@ NOT_INTEGERS = [
     ("const(Fraction(1, 2))", lambda: const(Fraction(1, 2))),
     ("term(1.5, x1=1)", lambda: term(1.5, x1=1)),
     ("SparsePolynomial([(Monomial(), 0.5)])", lambda: SparsePolynomial([(Monomial(), 0.5)])),
+    ("explicit([True, 2])", lambda: SequenceSpec.explicit([True, 2])),
+    ("const(True)", lambda: const(True)),
+    ("as_poly(True)", lambda: as_poly(True)),
+    ("SparsePolynomial([(Monomial(), True)])", lambda: SparsePolynomial([(Monomial(), True)])),
+    ("x1 + True", lambda: var("x1") + True),
+    ("x1 * True", lambda: var("x1") * True),
+    ("True * x1", lambda: True * var("x1")),
 ]
 
 

@@ -13,8 +13,6 @@ import pytest
 from lahbell.bell import _exponent_vectors
 from lahbell.exact_core import lah, rlah
 from lahbell.partitions import (
-    LambdaWitness,
-    PiWitness,
     enumerate_lambda,
     enumerate_pi,
     lah_via_pi,
@@ -72,32 +70,32 @@ def oracle_lambda(n, k, rho):
 def test_pi_matches_exhaustive_oracle():
     for n in range(10):
         for k in range(n + 2):
-            got = [w.j for w in enumerate_pi(n, k)]
+            got = list(enumerate_pi(n, k))
             assert len(got) == len(set(got))
             assert set(got) == oracle_pi(n, k), (n, k)
 
 
 def test_pi_known_witness_lists():
-    assert [w.j for w in enumerate_pi(3, 2)] == [(1, 1)]
-    assert [w.j for w in enumerate_pi(4, 2)] == [(1, 0, 1), (0, 2, 0)]
-    assert [w.j for w in enumerate_pi(0, 0)] == [(0,)]
+    assert list(enumerate_pi(3, 2)) == [(1, 1)]
+    assert list(enumerate_pi(4, 2)) == [(1, 0, 1), (0, 2, 0)]
+    assert list(enumerate_pi(0, 0)) == [(0,)]
     assert list(enumerate_pi(2, 3)) == []
 
 
 def test_pi_witness_shape():
     for n in range(8):
         for k in range(n + 1):
-            for w in enumerate_pi(n, k):
-                assert isinstance(w, PiWitness)
-                assert len(w.j) == n - k + 1
-                assert sum(w.j) == k
-                assert sum(i * v for i, v in enumerate(w.j, start=1)) == n
+            for j in enumerate_pi(n, k):
+                assert type(j) is tuple
+                assert len(j) == n - k + 1
+                assert sum(j) == k
+                assert sum(i * v for i, v in enumerate(j, start=1)) == n
 
 
 def test_pi_order_is_descending_lexicographic():
     for n in range(9):
         for k in range(n + 1):
-            got = [w.j for w in enumerate_pi(n, k)]
+            got = list(enumerate_pi(n, k))
             assert got == sorted(got, reverse=True), (n, k)
 
 
@@ -116,26 +114,29 @@ def test_lambda_matches_exhaustive_oracle():
     for n in range(6):
         for k in range(n + 1):
             for rho in range(4):
-                got = [(w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho)]
+                got = list(enumerate_lambda(n, k, rho))
                 assert len(got) == len(set(got))
                 assert set(got) == oracle_lambda(n, k, rho), (n, k, rho)
 
 
 def test_lambda_known_witness_lists():
-    assert [(w.k_part, w.r_part) for w in enumerate_lambda(1, 1, 0)] == [((1,), ())]
-    assert [(w.k_part, w.r_part) for w in enumerate_lambda(2, 1, 2)] == [
+    assert list(enumerate_lambda(1, 1, 0)) == [((1,), ())]
+    assert list(enumerate_lambda(2, 1, 2)) == [
         ((1,), (1, 1)),
         ((0, 1), (2,)),
     ]
-    assert [(w.k_part, w.r_part) for w in enumerate_lambda(0, 0, 2)] == [((), (2,))]
+    assert list(enumerate_lambda(0, 0, 2)) == [((), (2,))]
     assert list(enumerate_lambda(2, 3, 1)) == []
 
 
-def test_lambda_witness_trims_trailing_zeros():
-    w = LambdaWitness((1, 0), (2, 0, 0))
-    assert w.k_part == (1,)
-    assert w.r_part == (2,)
-    assert LambdaWitness((0, 0), (0,)) == LambdaWitness((), ())
+def test_lambda_parts_end_in_a_nonzero_entry():
+    """Equal witnesses must be equal tuples, so no part carries a trailing zero."""
+    for n in range(19):
+        for k in range(n + 1):
+            for rho in range(5):
+                for k_part, r_part in enumerate_lambda(n, k, rho):
+                    assert not k_part or k_part[-1], (n, k, rho, k_part)
+                    assert not r_part or r_part[-1], (n, k, rho, r_part)
 
 
 def test_lambda_order_is_descending_lexicographic():
@@ -143,9 +144,9 @@ def test_lambda_order_is_descending_lexicographic():
         for k in range(n + 1):
             for rho in range(4):
                 dense = []
-                for w in enumerate_lambda(n, k, rho):
-                    kp = w.k_part + (0,) * (n - len(w.k_part))
-                    rp = w.r_part + (0,) * (n + 1 - len(w.r_part))
+                for k_part, r_part in enumerate_lambda(n, k, rho):
+                    kp = k_part + (0,) * (n - len(k_part))
+                    rp = r_part + (0,) * (n + 1 - len(r_part))
                     dense.append(kp + rp)
                 assert dense == sorted(dense, reverse=True), (n, k, rho)
 
@@ -259,16 +260,18 @@ def test_streams_match_brute_force_reference():
         pi, lam, vectors = reference_streams(n, k_vectors, r_vectors)
         assert list(_exponent_vectors(n)) == vectors, n
         for k in range(n + 2):
-            assert [w.j for w in enumerate_pi(n, k)] == pi[k], (n, k)
+            assert list(enumerate_pi(n, k)) == pi[k], (n, k)
             for rho in range(STREAM_RHO_MAX + 1):
-                got = [(w.k_part, w.r_part) for w in enumerate_lambda(n, k, rho)]
+                got = list(enumerate_lambda(n, k, rho))
                 assert got == lam[k, rho], (n, k, rho)
 
 
-# sha256 over repr() of every enumerate_pi(n, k) witness and, after it, every
+# sha256 over the text "PiWitness(j=...)" of every enumerate_pi(n, k) witness
+# and, after it, "LambdaWitness(k_part=..., r_part=...)" of every
 # enumerate_lambda(n, k, rho) witness for rho = 0..4, for n <= 18, k <= n + 1:
-# about 68k witnesses, recorded from enumerators with separate recursions.  It
-# reaches sizes where the n - k + 1 slot cap prunes far more than at n <= 12.
+# about 68k witnesses, recorded from enumerators with separate recursions,
+# which yielded wrapper objects with that repr.  It reaches sizes where the
+# n - k + 1 slot cap prunes far more than at n <= 12.
 STREAM_DIGEST = "5c6a3046071d27ea4c13188e85a94aca6b0cbf6a02d692cf0409572194c60a6e"
 
 
@@ -276,9 +279,9 @@ def test_streams_match_recorded_digest():
     digest = hashlib.sha256()
     for n in range(19):
         for k in range(n + 2):
-            for w in enumerate_pi(n, k):
-                digest.update(repr(w).encode())
+            for j in enumerate_pi(n, k):
+                digest.update(f"PiWitness(j={j!r})".encode())
             for rho in range(5):
-                for w in enumerate_lambda(n, k, rho):
-                    digest.update(repr(w).encode())
+                for kp, rp in enumerate_lambda(n, k, rho):
+                    digest.update(f"LambdaWitness(k_part={kp!r}, r_part={rp!r})".encode())
     assert digest.hexdigest() == STREAM_DIGEST

@@ -1,7 +1,7 @@
 """Sparse polynomial arithmetic, canonical text form, and JSON round-trips."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lahbell.bell import ONES, SequenceSpec
 from lahbell.exact_core import IntegralityError
@@ -46,7 +46,7 @@ def test_monomial_canonical_form():
     m = Monomial(((Variable("x", 2), 1), (Variable("x", 1), 2), (Variable("x", 3), 0)))
     assert str(m) == "x1^2*x2"
     assert m.degree == 3
-    assert m.exponent(Variable("x", 3)) == 0
+    assert m.pairs == ((Variable("x", 1), 2), (Variable("x", 2), 1))
     assert Monomial().is_unit
 
 
@@ -119,6 +119,14 @@ def test_exponents_that_are_not_ints_are_refused():
         Monomial({Variable("x", 1): True})
 
 
+def test_a_bool_equals_no_polynomial():
+    """A bool is refused as a coefficient, so comparing with one is plain False."""
+    assert (const(1) == True) is False
+    assert const(1) != True
+    assert (const(0) == False) is False
+    assert const(1) == 1
+
+
 def test_substitute_and_evaluate():
     p = var("x1") ** 2 + var("x2")
     assert p.substitute(Variable("x", 2), const(5)) == var("x1") ** 2 + 5
@@ -142,8 +150,8 @@ def test_coefficient_lookup_and_terms():
     pairs = list(p.terms())
     assert [c for _, c in pairs] == [2, -1]
     mono = pairs[0][0]
-    assert p.coefficient(mono) == 2
-    assert p.coefficient(Monomial()) == 0
+    assert dict(pairs)[mono] == 2
+    assert Monomial() not in dict(pairs)
     assert p.variables() == [Variable("x", 1), Variable("x", 2)]
 
 
@@ -235,9 +243,18 @@ _exponent_maps = st.dictionaries(_variables, st.integers(min_value=0, max_value=
 _monomials = _exponent_maps.map(Monomial)
 
 
+_RANKS = {"x": 0, "a": 1, "b": 2, "y": 3, "scalar": 4}
+
+
+def _variable_key(v):
+    """Family first, then index: the documented variable order."""
+    return (_RANKS[v.family], v.index)
+
+
 def _reference_pairs(exponents):
     """Canonical pairs of a Variable -> exponent dict, built without Monomial."""
-    return tuple(sorted(((v, e) for v, e in exponents.items() if e), key=lambda p: p[0].sort_key))
+    pairs = ((v, e) for v, e in exponents.items() if e)
+    return tuple(sorted(pairs, key=lambda p: _variable_key(p[0])))
 
 
 @given(_monomials, _monomials)
@@ -280,15 +297,23 @@ def test_pairs_follow_variable_order_for_any_input_order(items, rnd):
     rnd.shuffle(shuffled)
     m = Monomial(shuffled)
     assert m.pairs == _reference_pairs(dict(items))
-    assert m.variables() == tuple(v for v, _ in m.pairs)
-    for v, e in items:
-        assert m.exponent(v) == e
 
 
-@given(_monomials)
-def test_sort_key_matches_variable_sort_keys(m):
-    old = (-m.degree, tuple((v.sort_key[0], v.sort_key[1], -e) for v, e in m.pairs))
-    assert m.sort_key() == old
+@given(st.lists(_monomials, max_size=8))
+def test_sort_key_matches_variable_sort_keys(monos):
+    def graded_lex(m):
+        return (-m.degree, tuple((*_variable_key(v), -e) for v, e in m.pairs))
+
+    assert sorted(monos, key=Monomial.sort_key) == sorted(monos, key=graded_lex)
+
+
+@given(_variables, st.integers(min_value=1, max_value=2**70))
+@example(Variable("y", 2**40 - 1), 1)
+@example(SCALAR_X, 2)
+def test_a_code_decodes_to_its_own_variable(v, e):
+    assert Variable.from_name(str(Monomial({v: 1}))) == v
+    assert Monomial({v: e}).pairs == ((v, e),)
+    assert var(v).variables() == [v]
 
 
 _coded_polys = st.lists(
