@@ -16,9 +16,12 @@ The six witness-sum constructors share one term loop, _witness_sum.  It
 reads a plain witness as a paired one with an empty r-part, so every
 constructor differs only in where its witnesses come from and in the
 coefficient rule: with or without the (i!)^v block weights.  Within one
-call the loop keeps a factorial table and a table of (i, v) -> (spec value
-at i)^v with its coefficient divisor, so a factor that recurs across
-witnesses is computed once; nothing outlives the call.
+call the loop keeps a factorial table and, per side, a table of slot terms
+(i, v) -> (monomial pairs, int factor, fill count, coefficient divisor),
+each read from the spec on first use.  It builds no polynomial per witness:
+it sums int coefficients in a dict keyed by the joined monomial pairs and
+the two fill counts, then raises each uniform fill once per distinct count
+and builds one polynomial at the end; nothing outlives the call.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -32,6 +35,7 @@ different sums against each other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -40,13 +44,14 @@ from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
     ZERO,
+    Monomial,
     PolyAccumulator,
     SparsePolynomial,
     Variable,
+    _merge,
     as_poly,
     const,
     indexed_var,
-    product,
 )
 
 __all__ = [
@@ -81,6 +86,8 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.kind not in _SPEC_KINDS:
             raise ValueError(f"unknown sequence kind: {self.kind!r}")
+        if self.kind == "symbolic":
+            Variable(self.family, 1)  # validates the family name
 
     @staticmethod
     def ones() -> "SequenceSpec":
@@ -100,7 +107,6 @@ class SequenceSpec:
 
     @staticmethod
     def symbolic(family: str) -> "SequenceSpec":
-        Variable(family, 1)  # validates the family name
         return SequenceSpec("symbolic", family=family)
 
     @staticmethod
@@ -156,8 +162,22 @@ def _exponent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, n)
 
 
+@functools.cache
+def _first_code(family: str) -> int:
+    """The code of the family's variable 1; variable i has this code plus i - 1."""
+    return Variable(family, 1).code
+
+
 class _Factors(dict):
-    """(i, v) -> (spec.at(i + shift) ** v, v! or v! * (i!)^v), filled on first use.
+    """(i, v) -> the term of slot i at multiplicity v, filled on first use.
+
+    An entry is (pairs, factor, count, weight): the slot contributes the
+    code-sorted monomial pairs, times the int factor, times the spec's fill
+    raised to count, over weight = v! or v! * (i!)^v.  A symbolic spec gives
+    the one pair (code of its i-th variable, v); ones, factorials and
+    explicit values give the int value**v; a uniform spec gives count v.
+    The first use of a slot still reads spec.at(i + shift), so a too-short
+    explicit sequence fails at the first index the sum needs.
 
     One table lives for one constructor call; shift is 0 for the k-part and
     for plain witnesses, and 1 for the r-part, whose slot i carries b_{i+1}.
@@ -171,14 +191,33 @@ class _Factors(dict):
         self._shift = shift
         self._facts = facts
         self._block_weights = block_weights
+        # slot i of a symbolic spec is the variable with code code0 + i
+        self._code0 = _first_code(spec.family) - 1 + shift if spec.kind == "symbolic" else 0
+        self._fill_powers: dict[int, SparsePolynomial] = {}
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[SparsePolynomial, int]:
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, int, int, int]:
         i, v = key
+        spec = self._spec
+        value = spec.at(i + self._shift)
         weight = self._facts[v]
         if self._block_weights:
             weight *= self._facts[i] ** v
-        entry = self[key] = (self._spec.at(i + self._shift) ** v, weight)
+        if spec.kind == "symbolic":
+            entry = (((self._code0 + i, v),), 1, 0, weight)
+        elif spec.kind == "uniform":
+            entry = ((), 1, v, weight)
+        else:
+            entry = ((), value.as_int() ** v, 0, weight)
+        self[key] = entry
         return entry
+
+    def fill_power(self, count: int) -> SparsePolynomial:
+        """The uniform fill raised to count, computed once per distinct count."""
+        power = self._fill_powers.get(count)
+        if power is None:
+            assert self._spec.fill is not None
+            power = self._fill_powers[count] = self._spec.fill ** count
+        return power
 
 
 def _witness_sum(
@@ -196,27 +235,56 @@ def _witness_sum(
     block_weights is set.  It is an integer: the slots i >= 1 of both parts
     form a block type m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i!
     divides n!, k_i! divides m_i!, and prod r_i! divides rho!.
+
+    No polynomial is built per witness.  Each witness reads its slot terms
+    from the two _Factors tables, joins the pairs of both sides into one
+    monomial key, and adds an int coefficient under (pairs, a fill count,
+    b fill count).  At the end the keys are grouped by their fill counts,
+    each fill is raised once per distinct count, and the groups are summed.
     """
     _check_nonnegative_int(n=n, rho=rho)
     facts = factorials_upto(max(n, rho))
     a_factors = _Factors(a, 0, facts, block_weights)
     b_factors = _Factors(b, 1, facts, block_weights)
-    acc = PolyAccumulator()
+    terms: dict[tuple[tuple, int, int], int] = {}
     num = facts[n] * facts[rho]
     for k_part, r_part in witnesses:
-        powers = []
-        den = 1
+        k_pairs: tuple = ()
+        factor, a_count, den = 1, 0, 1
         for i, v in enumerate(k_part, 1):
             if v:
-                power, weight = a_factors[i, v]
-                powers.append(power)
+                pairs, f, count, weight = a_factors[i, v]
+                k_pairs += pairs
+                factor *= f
+                a_count += count
                 den *= weight
+        r_pairs: tuple = ()
+        b_count = 0
         for i, v in enumerate(r_part):
             if v:
-                power, weight = b_factors[i, v]
-                powers.append(power)
+                pairs, f, count, weight = b_factors[i, v]
+                r_pairs += pairs
+                factor *= f
+                b_count += count
                 den *= weight
-        acc.add(product(powers), exact_div(num, den))
+        key = (_merge(k_pairs, r_pairs), a_count, b_count)
+        terms[key] = terms.get(key, 0) + exact_div(num, den) * factor
+    by_counts: dict[tuple[int, int], dict[Monomial, int]] = {}
+    for (pairs, a_count, b_count), coeff in terms.items():
+        if coeff:
+            by_counts.setdefault((a_count, b_count), {})[Monomial._raw(pairs)] = coeff
+    plain = SparsePolynomial._raw(by_counts.pop((0, 0), {}))
+    if not by_counts:
+        return plain
+    acc = PolyAccumulator()
+    acc.add(plain)
+    for (a_count, b_count), data in by_counts.items():
+        part = SparsePolynomial._raw(data)
+        if a_count:
+            part = part * a_factors.fill_power(a_count)
+        if b_count:
+            part = part * b_factors.fill_power(b_count)
+        acc.add(part)
     return acc.build()
 
 

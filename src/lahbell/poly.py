@@ -45,7 +45,6 @@ __all__ = [
     "indexed_var",
     "term",
     "as_poly",
-    "product",
 ]
 
 _FAMILIES = ("x", "a", "b", "y", "scalar")
@@ -528,31 +527,6 @@ def as_poly(value: Union[SparsePolynomial, int]) -> SparsePolynomial:
     if isinstance(value, int):
         return const(value)
     raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
-
-
-def product(factors: Iterable[SparsePolynomial]) -> SparsePolynomial:
-    """The product of the factors, left to right; ONE when there are none.
-
-    A run of single-term factors is merged code tuple by code tuple, with no
-    polynomial built in between.  From the first factor with more or fewer
-    terms on, the factors are multiplied as polynomials, so every partial
-    product with more than one term is the same as in a left-to-right chain
-    of `*`.
-    """
-    pairs: tuple = ()
-    coeff = 1
-    factors = iter(factors)
-    for f in factors:
-        terms = f._terms
-        if len(terms) != 1:
-            result = SparsePolynomial._raw({Monomial._raw(pairs): coeff}) * f
-            for f in factors:
-                result = result * f
-            return result
-        for mono, c in terms.items():
-            pairs = _merge(pairs, mono._pairs)
-            coeff *= c
-    return SparsePolynomial._raw({Monomial._raw(pairs): coeff})
 
 
 ZERO = const(0)

@@ -7,6 +7,7 @@ families.  Numeric spot values are frozen from those oracles.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,17 @@ from lahbell.exact_core import (
     r_lah_bell_number,
     rlah,
 )
-from lahbell.poly import SCALAR_X, Monomial, SparsePolynomial, Variable, as_poly, const, term, var
+from lahbell.poly import (
+    SCALAR_X,
+    Monomial,
+    PolyAccumulator,
+    SparsePolynomial,
+    Variable,
+    as_poly,
+    const,
+    term,
+    var,
+)
 
 X = SequenceSpec.symbolic("x")
 A = SequenceSpec.symbolic("a")
@@ -126,6 +137,8 @@ def test_sequence_spec_kinds():
     assert SequenceSpec.uniform(var("x1")).at(9) == var("x1")
     with pytest.raises(ValueError):
         SequenceSpec.symbolic("q")
+    with pytest.raises(ValueError):
+        SequenceSpec("symbolic", family="q")
 
 
 def test_incomplete_bell_matches_recurrence_oracle():
@@ -210,6 +223,83 @@ def test_incomplete_r_bell_matches_exhaustive_oracle():
                 assert incomplete_r_bell(n, k, rho, A, B) == oracle_incomplete_r_bell(
                     n, k, rho, A, B
                 ), (n, k, rho)
+
+
+# With (A, B), checked by the two tests above, these (a, b) pairs reach every
+# way the witness sums join the two sides: a's family above b's, the same
+# family with both parts nonempty, fills on one side or both, int values with
+# a zero and a negative, and all ones.
+SPEC_PAIRS = [
+    ("B, A", B, A),
+    ("A, A", A, A),
+    ("uniform(x1), B", SequenceSpec.uniform(var("x1")), B),
+    ("uniform(x), uniform(3)", SequenceSpec.uniform(var("x")), SequenceSpec.uniform(3)),
+    (
+        "explicit([2, 0, -1, 5, 1]), FACTORIALS",
+        SequenceSpec.explicit([2, 0, -1, 5, 1]),
+        FACTORIALS,
+    ),
+    ("ONES, ONES", ONES, ONES),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", [pair[1:] for pair in SPEC_PAIRS], ids=[pair[0] for pair in SPEC_PAIRS]
+)
+def test_paired_families_match_the_oracles_for_every_spec_pair(a, b):
+    for n in range(5):
+        for k in range(n + 1):
+            for rho in range(4):
+                assert incomplete_r_bell(n, k, rho, a, b) == oracle_incomplete_r_bell(
+                    n, k, rho, a, b
+                ), (n, k, rho)
+            for r in range(3):
+                assert incomplete_r_lah_bell(
+                    n, k, r, a, b
+                ) == oracle_incomplete_r_lah_bell(n, k, r, a, b), (n, k, r)
+
+
+def test_complete_families_over_a_fill_sum_the_partial_ones():
+    # the complete sums raise the fill to every block count, the partial ones
+    # to one count each
+    fill = SequenceSpec.uniform(var("x1") + 1)
+    for n in range(7):
+        bell_parts = [incomplete_bell(n, k, fill) for k in range(n + 1)]
+        for k, part in enumerate(bell_parts):
+            assert part == oracle_incomplete_bell(n, k, fill), (n, k)
+        assert complete_bell(n, fill) == sum(bell_parts, const(0)), n
+        lah_parts = (incomplete_lah_bell(n, k, fill) for k in range(n + 1))
+        assert complete_lah_bell(n, fill) == sum(lah_parts, const(0)), n
+
+
+def test_witness_sums_build_no_polynomial_per_witness(monkeypatch):
+    """Polynomial work of the witness sums as counts, so a change that goes
+    back to a product per witness fails here and not only in timings."""
+    fill = SequenceSpec.uniform(var("x1") + 1)
+    counts = Counter()
+    multiply, power, add = SparsePolynomial.__mul__, SparsePolynomial.__pow__, PolyAccumulator.add
+
+    def counted_multiply(self, other):
+        counts["mul"] += 1
+        return multiply(self, other)
+
+    def counted_power(self, k):
+        counts["pow"] += 1
+        return power(self, k)
+
+    def counted_add(self, poly, scale=1):
+        counts["add"] += 1
+        return add(self, poly, scale)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted_multiply)
+    monkeypatch.setattr(SparsePolynomial, "__pow__", counted_power)
+    monkeypatch.setattr(PolyAccumulator, "add", counted_add)
+    assert len(complete_bell(18, X)) == 385
+    assert len(incomplete_r_lah_bell(14, 5, 2, A, B)) > 0
+    assert counts == Counter()
+    # every witness has 4 blocks, so the fill is raised once, to the 4th power
+    assert len(incomplete_r_lah_bell(10, 4, 1, fill, ONES)) == 5
+    assert counts["pow"] <= 1
 
 
 def test_incomplete_r_bell_separated_element_counts():

@@ -192,6 +192,40 @@ def test_refused_input_exits_2_without_traceback(capsys):
     assert captured.err == "lahbell: error: explicit sequence too short: need index 3, have 2\n"
 
 
+# Every poly family that takes --seq-a or --seq-b, once with a too-short a side
+# and once with a too-short b side: the index named is the first one the
+# computation reads, so these pin the order in which values are looked up.
+TOO_SHORT = [
+    (["complete-bell", "--n", "5", "--seq-a", "1,2"], "need index 3, have 2"),
+    (["incomplete-bell", "--n", "5", "--k", "2", "--seq-a", "1,2"], "need index 4, have 2"),
+    (["complete-lah-bell", "--n", "5", "--seq-a", "1,2"], "need index 3, have 2"),
+    (["incomplete-lah-bell", "--n", "5", "--k", "2", "--seq-a", "1,2"], "need index 4, have 2"),
+    (["incomplete-r-lah-bell", "--n", "5", "--k", "2", "--r", "1", "--seq-a", "1,2"], "need index 3, have 2"),
+    (["incomplete-r-lah-bell", "--n", "5", "--k", "2", "--r", "1", "--seq-b", "1,2"], "need index 4, have 2"),
+    (
+        ["incomplete-r-lah-bell", "--n", "5", "--k", "2", "--r", "1", "--seq-a", "ones", "--seq-b", "4,0,1"],
+        "need index 4, have 3",
+    ),
+    (["complete-r-lah-bell", "--n", "5", "--r", "1", "--seq-a", "1,2"], "need index 3, have 2"),
+    (["complete-r-lah-bell", "--n", "5", "--r", "1", "--seq-b", "1,2"], "need index 6, have 2"),
+    (
+        ["complete-r-lah-bell", "--n", "4", "--r", "2", "--seq-a", "3,1", "--seq-b", "ones"],
+        "need index 3, have 2",
+    ),
+    (["theorem7", "--n", "5", "--r", "1", "--seq-a", "1,2"], "need index 3, have 2"),
+    (["theorem7", "--n", "5", "--r", "1", "--seq-b", "1,2"], "need index 6, have 2"),
+    (["theorem7", "--n", "4", "--r", "2", "--seq-a", "ones", "--seq-b", "1,1"], "need index 5, have 2"),
+]
+
+
+@pytest.mark.parametrize("argv,need", TOO_SHORT, ids=[" ".join(argv) for argv, _ in TOO_SHORT])
+def test_too_short_sequences_are_refused_at_the_first_index_read(capsys, argv, need):
+    code = cli.main(["poly", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"lahbell: error: explicit sequence too short: {need}\n"
+
+
 def test_integrality_error_exits_2(capsys, monkeypatch):
     def refuse(suite, n_max, r_max):
         raise IntegralityError("non-integer coefficient 1/2")

@@ -13,7 +13,6 @@ from lahbell.poly import (
     Variable,
     const,
     indexed_var,
-    product,
     term,
     var,
 )
@@ -331,22 +330,3 @@ def test_equal_polynomials_hash_equal(p, q):
     assert p * q == q * p
     assert hash(p * q) == hash(q * p)
     assert hash(p + q - q) == hash(p)
-
-
-_single_terms = st.tuples(_monomials, st.integers(min_value=-5, max_value=5)).map(
-    lambda t: SparsePolynomial([t])
-)
-
-
-@given(st.lists(st.one_of(_single_terms, _coded_polys), max_size=5))
-def test_product_matches_left_to_right_chain(factors):
-    chain = const(1)
-    for f in factors:
-        chain = chain * f
-    assert product(factors) == chain
-    assert product(iter(factors)) == chain
-
-
-def test_product_of_nothing_is_one():
-    assert product([]) == 1
-    assert product([const(0), var("x1")]).is_zero
