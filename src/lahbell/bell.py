@@ -15,13 +15,22 @@ ever not whole raises IntegralityError.
 The six witness-sum constructors share one term loop, _witness_sum.  It
 reads a plain witness as a paired one with an empty r-part, so every
 constructor differs only in where its witnesses come from and in the
-coefficient rule: with or without the (i!)^v block weights.  Within one
-call the loop keeps a factorial table and, per side, a table of slot terms
-(i, v) -> (monomial pairs, int factor, fill count, coefficient divisor),
-each read from the spec on first use.  It builds no polynomial per witness:
-it sums int coefficients in a dict keyed by the joined monomial pairs and
-the two fill counts, then raises each uniform fill once per distinct count
-and builds one polynomial at the end; nothing outlives the call.
+coefficient rule: with or without the (i!)^v block weights.  The loop reads
+its witnesses as runs (k_part, r_parts) of witnesses that share a k-part,
+and keeps, per side, a table of slot terms (i, v) -> (monomial pairs, int
+factor, fill count, coefficient divisor), each read from the spec on first
+use.  It works out the terms of each k-part once per run and of each r-part
+once per call, builds no polynomial per witness, sums int coefficients in a
+dict keyed by the joined monomial pairs and the two fill counts, then
+raises each uniform fill once per distinct count and builds one polynomial
+at the end.
+
+Outside a reuse scope (exact_core._reuse) the witness runs are read lazily
+and the slot tables are built for the call and dropped when it returns.
+Inside one, which the verifier opens once per run, the first call keeps
+its witness stream under (enumerator, n, k, rho) and its slot tables under
+(spec, shift, block weights), and later calls read them.  Only these inputs
+are kept, never a constructor's result.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -36,10 +45,13 @@ different sums against each other.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact_core import _check_nonnegative_int, _rlah_walk, exact_div, factorial, factorials_upto
+from .exact_core import (
+    _MEMO, _check_nonnegative_int, _rlah_walk, exact_div, factorial, factorials_upto,
+)
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
@@ -177,19 +189,20 @@ class _Factors(dict):
     the one pair (code of its i-th variable, v); ones, factorials and
     explicit values give the int value**v; a uniform spec gives count v.
     The first use of a slot still reads spec.at(i + shift), so a too-short
-    explicit sequence fails at the first index the sum needs.
+    explicit sequence fails at the first index the sum needs, and a slot
+    that fails is not kept.
 
-    One table lives for one constructor call; shift is 0 for the k-part and
-    for plain witnesses, and 1 for the r-part, whose slot i carries b_{i+1}.
+    shift is 0 for the k-part and for plain witnesses, and 1 for the
+    r-part, whose slot i carries b_{i+1}.  An entry depends on nothing but
+    the spec, shift, block weights and its key, so one table serves calls of
+    any n: a table lives for one constructor call, or for a whole reuse
+    scope.
     """
 
-    def __init__(
-        self, spec: SequenceSpec, shift: int, facts: list[int], block_weights: bool
-    ) -> None:
+    def __init__(self, spec: SequenceSpec, shift: int, block_weights: bool) -> None:
         super().__init__()
         self._spec = spec
         self._shift = shift
-        self._facts = facts
         self._block_weights = block_weights
         # slot i of a symbolic spec is the variable with code code0 + i
         self._code0 = _first_code(spec.family) - 1 + shift if spec.kind == "symbolic" else 0
@@ -199,9 +212,9 @@ class _Factors(dict):
         i, v = key
         spec = self._spec
         value = spec.at(i + self._shift)
-        weight = self._facts[v]
+        weight = math.factorial(v)
         if self._block_weights:
-            weight *= self._facts[i] ** v
+            weight *= math.factorial(i) ** v
         if spec.kind == "symbolic":
             entry = (((self._code0 + i, v),), 1, 0, weight)
         elif spec.kind == "uniform":
@@ -219,56 +232,127 @@ class _Factors(dict):
             power = self._fill_powers[count] = self._spec.fill ** count
         return power
 
+    def side(self, part: Sequence[int], first: int) -> tuple[tuple, int, int, int]:
+        """(pairs, factor, count, weight) of a whole part whose slot index starts at first."""
+        pairs: tuple = ()
+        factor, count, weight = 1, 0, 1
+        for i, v in enumerate(part, first):
+            if v:
+                p, f, c, w = self[i, v]
+                pairs += p
+                factor *= f
+                count += c
+                weight *= w
+        return pairs, factor, count, weight
+
+
+_Run = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+# The r-parts of a plain witness: one, empty.
+_NO_R: tuple[tuple[int, ...], ...] = ((),)
+
+
+def _runs(witnesses: Iterable, paired: bool) -> Iterator[_Run]:
+    """(k_part, r_parts) for each run of consecutive witnesses with one k-part.
+
+    A plain witness is its own run, with one empty r-part.
+    """
+    if not paired:
+        for j in witnesses:
+            yield j, _NO_R
+        return
+    k_run, r_run = None, []
+    for k_part, r_part in witnesses:
+        if k_part != k_run:
+            if r_run:
+                yield k_run, tuple(r_run)
+            k_run, r_run = k_part, []
+        r_run.append(r_part)
+    if r_run:
+        yield k_run, tuple(r_run)
+
+
+def _witness_runs(
+    kept: dict | None, enumerator: Callable, args: tuple[int, ...]
+) -> Iterator[_Run]:
+    """The runs of enumerator(*args): read lazily outside a reuse scope, and
+    read once per scope and kept in the scope's dict inside one.
+
+    A kept stream is two tuples, its k-parts and the r_parts of each run,
+    and equal k-parts and equal r_parts tuples are shared by all the streams
+    kept in the scope, so a kept stream holds few objects of its own.  In a
+    scope the arguments are checked before the lookup, as the enumerator
+    checks them, because a bool hashes like the int it equals and would
+    find that int's stream.
+    """
+    paired = len(args) == 3
+    if kept is None:
+        return _runs(enumerator(*args), paired)
+    _check_nonnegative_int(**dict(zip(("n", "k", "rho"), args)))
+    key = ("witnesses", enumerator, *args)
+    stream = kept.get(key)
+    if stream is None:
+        # k-parts are tuples of ints and r_parts non-empty tuples of tuples,
+        # so the two kinds never compare equal in the one dict
+        shared = kept.setdefault("parts", {})
+        k_parts, r_runs = [], []
+        for k_part, r_parts in _runs(enumerator(*args), paired):
+            k_parts.append(shared.setdefault(k_part, k_part))
+            r_runs.append(shared.setdefault(r_parts, r_parts))
+        stream = kept[key] = (tuple(k_parts), tuple(r_runs))
+    return zip(*stream)
+
+
+def _slots(memo: dict, spec: SequenceSpec, shift: int, block_weights: bool) -> _Factors:
+    key = ("slots", spec, shift, block_weights)
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = _Factors(spec, shift, block_weights)
+    return table
+
 
 def _witness_sum(
-    n: int,
-    rho: int,
-    witnesses: Iterable[tuple[Sequence[int], Sequence[int]]],
-    a: SequenceSpec,
-    b: SequenceSpec,
-    block_weights: bool,
+    a: SequenceSpec, b: SequenceSpec, block_weights: bool, enumerator: Callable, *args: int
 ) -> SparsePolynomial:
-    """Sum over paired witnesses (k_part, r_part) of coefficient times monomial.
+    """Sum over the witnesses of enumerator(*args) of coefficient times monomial.
 
-    The monomial is prod a_i^k_i * prod b_{i+1}^r_i.  The coefficient is
-    n! * rho! over the product of k_i! and r_i!, each times (i!)^v when
-    block_weights is set.  It is an integer: the slots i >= 1 of both parts
-    form a block type m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i!
-    divides n!, k_i! divides m_i!, and prod r_i! divides rho!.
+    args is (n,), (n, k) or (n, k, rho).  An enumerator of (n, k, rho) yields
+    paired witnesses (k_part, r_part); the others yield plain vectors, read
+    with an empty r-part and rho = 0.  The monomial is
+    prod a_i^k_i * prod b_{i+1}^r_i.  The coefficient is n! * rho! over the
+    product of k_i! and r_i!, each times (i!)^v when block_weights is set.
+    It is an integer: the slots i >= 1 of both parts form a block type
+    m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i! divides n!, k_i!
+    divides m_i!, and prod r_i! divides rho!.
 
-    No polynomial is built per witness.  Each witness reads its slot terms
-    from the two _Factors tables, joins the pairs of both sides into one
-    monomial key, and adds an int coefficient under (pairs, a fill count,
-    b fill count).  At the end the keys are grouped by their fill counts,
-    each fill is raised once per distinct count, and the groups are summed.
+    No polynomial is built per witness.  Each witness joins the slot terms
+    of its k-part, worked out once per run, and of its r-part, worked out
+    once per call, into one monomial key, and adds an int coefficient under
+    (pairs, a fill count, b fill count).  At the end the keys are grouped by
+    their fill counts, each fill is raised once per distinct count, and the
+    groups are summed.
     """
+    n = args[0]
+    rho = args[2] if len(args) == 3 else 0
     _check_nonnegative_int(n=n, rho=rho)
-    facts = factorials_upto(max(n, rho))
-    a_factors = _Factors(a, 0, facts, block_weights)
-    b_factors = _Factors(b, 1, facts, block_weights)
+    kept = _MEMO.get()
+    runs = _witness_runs(kept, enumerator, args)
+    memo = {} if kept is None else kept  # outside a scope nothing outlives the call
+    a_factors = _slots(memo, a, 0, block_weights)
+    b_factors = _slots(memo, b, 1, block_weights)
+    num = math.factorial(n) * math.factorial(rho)
+    r_sides: dict[tuple[int, ...], tuple[tuple, int, int, int]] = {}
     terms: dict[tuple[tuple, int, int], int] = {}
-    num = facts[n] * facts[rho]
-    for k_part, r_part in witnesses:
-        k_pairs: tuple = ()
-        factor, a_count, den = 1, 0, 1
-        for i, v in enumerate(k_part, 1):
-            if v:
-                pairs, f, count, weight = a_factors[i, v]
-                k_pairs += pairs
-                factor *= f
-                a_count += count
-                den *= weight
-        r_pairs: tuple = ()
-        b_count = 0
-        for i, v in enumerate(r_part):
-            if v:
-                pairs, f, count, weight = b_factors[i, v]
-                r_pairs += pairs
-                factor *= f
-                b_count += count
-                den *= weight
-        key = (_merge(k_pairs, r_pairs), a_count, b_count)
-        terms[key] = terms.get(key, 0) + exact_div(num, den) * factor
+    for k_part, r_parts in runs:
+        k_pairs, k_factor, a_count, k_weight = a_factors.side(k_part, 1)
+        for r_part in r_parts:
+            r_side = r_sides.get(r_part)
+            if r_side is None:
+                r_side = r_sides[r_part] = b_factors.side(r_part, 0)
+            r_pairs, r_factor, b_count, r_weight = r_side
+            key = (_merge(k_pairs, r_pairs), a_count, b_count)
+            coeff = exact_div(num, k_weight * r_weight) * k_factor * r_factor
+            terms[key] = terms.get(key, 0) + coeff
     by_counts: dict[tuple[int, int], dict[Monomial, int]] = {}
     for (pairs, a_count, b_count), coeff in terms.items():
         if coeff:
@@ -294,8 +378,7 @@ def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
 
     Zero for k > n; the empty witness makes (0, 0) give 1.
     """
-    witnesses = ((j, ()) for j in enumerate_pi(n, k))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True)
+    return _witness_sum(xs, xs, True, enumerate_pi, n, k)
 
 
 def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
@@ -304,8 +387,7 @@ def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     Enumerates sum(i * j_i) = n directly rather than grading by block count,
     so the decomposition into incomplete_bell values is a genuine cross-check.
     """
-    witnesses = ((j, ()) for j in _exponent_vectors(n))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=True)
+    return _witness_sum(xs, xs, True, _exponent_vectors, n)
 
 
 def incomplete_r_bell(
@@ -320,7 +402,7 @@ def incomplete_r_bell(
     is an integer, because k_i + r_i is the count of size-i blocks in a set
     partition of n elements (see _witness_sum).
     """
-    return _witness_sum(n, rho, enumerate_lambda(n, k, rho), a, b, block_weights=True)
+    return _witness_sum(a, b, True, enumerate_lambda, n, k, rho)
 
 
 def complete_r_bell(n: int, rho: int, a: SequenceSpec, b: SequenceSpec) -> SparsePolynomial:
@@ -339,14 +421,12 @@ def incomplete_lah_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
     the i! block weights of the ordered-block model cancel the 1/i! of the
     plain model, leaving an all-integer multinomial.
     """
-    witnesses = ((j, ()) for j in enumerate_pi(n, k))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False)
+    return _witness_sum(xs, xs, False, enumerate_pi, n, k)
 
 
 def complete_lah_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
     """Sum of the ordered-block shape over all weight-n vectors."""
-    witnesses = ((j, ()) for j in _exponent_vectors(n))
-    return _witness_sum(n, 0, witnesses, xs, xs, block_weights=False)
+    return _witness_sum(xs, xs, False, _exponent_vectors, n)
 
 
 def incomplete_r_lah_bell(
@@ -358,7 +438,7 @@ def incomplete_r_lah_bell(
     prod a_i^k_i * prod b_{i+1}^r_i; all-integer throughout.
     """
     _check_nonnegative_int(r=r)
-    return _witness_sum(n, 2 * r, enumerate_lambda(n, k, 2 * r), a, b, block_weights=False)
+    return _witness_sum(a, b, False, enumerate_lambda, n, k, 2 * r)
 
 
 def complete_r_lah_bell(

@@ -15,11 +15,22 @@ keep the direct formula for single entries.
 _check_nonnegative_int is the package's one rule for a count argument (an n,
 k, r, rho, order, exponent or index): a bool or any other non-int raises
 TypeError and a negative int raises ValueError, each naming the parameter.
+
+_reuse() is the package's one reuse scope.  While it is open, the witness
+sums in bell keep their witness streams and slot tables, and gf_expand in
+series its head and tail series, all in the one dict _MEMO holds; a later
+call with the same inputs reads them instead of building them again.  The
+scope keeps inputs only, never a constructor's or gf_expand's result, so a
+value that the verifier compares is computed afresh on each side.  Outside
+a scope _MEMO holds None and every call builds what it needs and drops it
+when it returns.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -52,6 +63,25 @@ def exact_div(a: int, b: int) -> int:
     if rem:
         raise IntegralityError(f"{a} is not divisible by {b}")
     return q
+
+
+# The dict of the open _reuse() scope, or None outside one.  A context
+# variable, so a scope never leaks into another thread.
+_MEMO: ContextVar[dict | None] = ContextVar("lahbell_reuse_memo", default=None)
+
+
+@contextmanager
+def _reuse():
+    """Keep the inputs that bell and series build until the scope closes.
+
+    A nested scope starts empty and gives the outer one back when it closes,
+    and the kept inputs are dropped when the scope closes, also on an error.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _check_nonnegative_int(**values: int) -> None:

@@ -17,24 +17,24 @@ exponential generating functions stays inside exact integer arithmetic:
 All values are immutable; operations return new series truncated to the
 smaller operand order.
 
-A grid of gf_expand calls, such as the one the verifier's series-oracle
-suite sweeps, can share its factors: inside a private ``_reuse()`` scope
-gf_expand keeps every head and tail it builds, takes head k as one
-recurrence step from head k-1 and tail m as one product from tail m-1 or
-m-2, and the kept series are dropped when the scope closes.  Outside a
+A grid of gf_expand calls, such as the one the verifier sweeps, can share
+its factors: inside the package's reuse scope (exact_core._reuse, which
+the verifier opens once per run) gf_expand keeps every head and tail it
+builds, takes head k as one recurrence step from head k-1 and tail m as
+one product from tail m-1 or m-2, and the kept series are dropped when the
+scope closes.  It never keeps the coefficients it returns.  Outside a
 scope every call builds its factors afresh.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence, Union
 
 from .bell import FACTORIALS, ONES, SequenceSpec, complete_bell
-from .exact_core import _check_nonnegative_int, factorial
+# series._reuse and series._MEMO name the package's reuse scope here too.
+from .exact_core import _MEMO, _check_nonnegative_int, _reuse, factorial  # noqa: F401
 from .poly import ONE, ZERO, PolyAccumulator, SparsePolynomial, as_poly
 
 __all__ = [
@@ -206,24 +206,6 @@ def _head_step(base: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
     )
 
 
-# The heads and tails gf_expand keeps while a _reuse() scope is open; None
-# outside one.  A context variable, so a scope never leaks into another thread.
-_MEMO: ContextVar[dict | None] = ContextVar("lahbell_series_memo", default=None)
-
-
-@contextmanager
-def _reuse():
-    """Let gf_expand keep and reuse its head and tail series until the scope ends.
-
-    A nested scope starts empty and gives the outer one back when it closes.
-    """
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
 GF_FAMILIES = {
     "lah-bell": (),
     "r-lah-bell": ("r",),
@@ -269,11 +251,12 @@ def gf_expand(
 
     The head A^k/k! is a power by squaring divided by k!, and exp(x A) the
     series exponential; the tail B^m is a power of B and is left out when
-    m = 0.  Inside a _reuse() scope the call keeps its head and tail for
-    later calls with the same sequence, lattice and order: head k then comes
-    from a kept head k-1 by one partial Bell recurrence step (_head_step),
-    and tail m from a kept tail m-1 or m-2 by one product.  Either way the
-    coefficients are the same.
+    m = 0.  Inside a reuse scope (exact_core._reuse) the call keeps its head
+    and tail until the scope closes, for later calls with the same sequence,
+    lattice and order: head k then comes from a kept head k-1 by one partial
+    Bell recurrence step (_head_step), and tail m from a kept tail m-1 or m-2
+    by one product.  The returned coefficients are never kept, and they are
+    the same either way.
     """
     if family not in GF_FAMILIES:
         raise ValueError(f"unknown generating-function family: {family!r}")

@@ -16,6 +16,7 @@ counterexample text themselves and feed _verdict the same way.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass
@@ -37,11 +38,12 @@ from .bell import (
     lah_bell_polynomial,
 )
 from .exact_core import (
-    _check_nonnegative_int, factorial, lah, lah_bell_number, r_lah_bell_number, rlah,
+    _MEMO, _check_nonnegative_int, _reuse, factorial, lah, lah_bell_number, r_lah_bell_number,
+    rlah,
 )
 from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import SCALAR_X, SparsePolynomial, Variable, const, var
-from .series import GF_FAMILIES, _reuse, faa_di_bruno_check, gf_expand
+from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
@@ -292,46 +294,45 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         return _verdict(suite, identity, bounds, _mismatches(cases))
 
     # The families share heads A^k/k! and exp(x A) and tails B^m across the
-    # grid; inside the scope gf_expand builds each of them once.  The want
-    # side never reads what the scope keeps.
-    with _reuse():
-        return [
-            compare(
-                "triangle series match the closed forms",
-                "r-lah",
-                lambda n, k, r: const(rlah(n, k, r)),
-            ),
-            compare(
-                "row-total series match the closed forms",
-                "r-lah-bell",
-                lambda n, r: const(r_lah_bell_number(n, r)),
-            ),
-            compare(
-                "scalar-argument series match the row polynomials",
-                "r-lah-bell-poly",
-                lambda n, r: lah_bell_polynomial(n, r, x),
-            ),
-            compare(
-                "generic ordinary series match the witness sums",
-                "incomplete-generic",
-                lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
-            ),
-            compare(
-                "generic complete series match the witness sums",
-                "complete-generic",
-                lambda n, r: complete_r_lah_bell(n, r, x, a, b),
-            ),
-            compare(
-                "generic egf series match the fractional witness sums",
-                "incomplete-r-bell",
-                lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
-            ),
-            compare(
-                "complete egf series match the fractional witness sums",
-                "complete-r-bell",
-                lambda n, rho: complete_r_bell(n, rho, a, b),
-            ),
-        ]
+    # grid; inside the run's reuse scope gf_expand builds each of them once.
+    # The scope keeps inputs only, never a compared value.
+    return [
+        compare(
+            "triangle series match the closed forms",
+            "r-lah",
+            lambda n, k, r: const(rlah(n, k, r)),
+        ),
+        compare(
+            "row-total series match the closed forms",
+            "r-lah-bell",
+            lambda n, r: const(r_lah_bell_number(n, r)),
+        ),
+        compare(
+            "scalar-argument series match the row polynomials",
+            "r-lah-bell-poly",
+            lambda n, r: lah_bell_polynomial(n, r, x),
+        ),
+        compare(
+            "generic ordinary series match the witness sums",
+            "incomplete-generic",
+            lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
+        ),
+        compare(
+            "generic complete series match the witness sums",
+            "complete-generic",
+            lambda n, r: complete_r_lah_bell(n, r, x, a, b),
+        ),
+        compare(
+            "generic egf series match the fractional witness sums",
+            "incomplete-r-bell",
+            lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
+        ),
+        compare(
+            "complete egf series match the fractional witness sums",
+            "complete-r-bell",
+            lambda n, rho: complete_r_bell(n, rho, a, b),
+        ),
+    ]
 
 
 _SUITES: dict[str, Callable[[int, int], list[IdentityResult]]] = {
@@ -356,6 +357,12 @@ SUITE_NAMES = ("all",) + tuple(_SUITES)
 def run_suites(suite: str, n_max: int, r_max: int) -> list[IdentityResult]:
     """Run one named suite (or every suite for 'all') at the given bounds.
 
+    The suites run inside one reuse scope (exact_core._reuse), so each
+    witness stream, slot table and series head or tail is built once for the
+    whole run.  When the caller has a scope open, the run keeps its inputs
+    there and the caller's scope drops them; otherwise the run opens its own
+    and drops them when it returns or raises.
+
     A bound that is not an int, or is a bool, raises TypeError; a negative
     bound or an unknown suite raises ValueError.
     """
@@ -363,4 +370,5 @@ def run_suites(suite: str, n_max: int, r_max: int) -> list[IdentityResult]:
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite: {suite!r}")
     checks = _SUITES.values() if suite == "all" else [_SUITES[suite]]
-    return [result for check in checks for result in check(n_max, r_max)]
+    with _reuse() if _MEMO.get() is None else contextlib.nullcontext():
+        return [result for check in checks for result in check(n_max, r_max)]

@@ -11,7 +11,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lahbell import bell
 from lahbell.bell import (
     FACTORIALS,
     ONES,
@@ -29,6 +31,8 @@ from lahbell.bell import (
     moments_from_cumulants,
 )
 from lahbell.exact_core import (
+    _MEMO,
+    _reuse,
     binomial,
     factorial,
     lah,
@@ -493,3 +497,127 @@ NOT_INTEGERS = [
 def test_values_that_are_not_integers_are_refused(call):
     with pytest.raises(TypeError):
         call()
+
+
+# Every witness-sum constructor, by name, at (n, k, r, a, b); the r-bell ones
+# take rho = 2r.
+_CONSTRUCTORS = {
+    "incomplete_bell": lambda n, k, r, a, b: incomplete_bell(n, k, a),
+    "complete_bell": lambda n, k, r, a, b: complete_bell(n, a),
+    "incomplete_lah_bell": lambda n, k, r, a, b: incomplete_lah_bell(n, k, a),
+    "complete_lah_bell": lambda n, k, r, a, b: complete_lah_bell(n, a),
+    "incomplete_r_bell": lambda n, k, r, a, b: incomplete_r_bell(n, k, 2 * r, a, b),
+    "complete_r_bell": lambda n, k, r, a, b: complete_r_bell(n, 2 * r, a, b),
+    "incomplete_r_lah_bell": lambda n, k, r, a, b: incomplete_r_lah_bell(n, k, r, a, b),
+    "complete_r_lah_bell": lambda n, k, r, a, b: complete_r_lah_bell(n, r, var("x"), a, b),
+    "complete_r_lah_bell_expansion": (
+        lambda n, k, r, a, b: complete_r_lah_bell_expansion(n, r, a, b)
+    ),
+}
+_SCOPE_SPECS = [
+    ONES,
+    FACTORIALS,
+    X,
+    A,
+    B,
+    SequenceSpec.explicit([3, -1, 4, 0, 5]),
+    SequenceSpec.uniform(var("x1") + 1),
+    SequenceSpec.uniform(2),
+]
+
+
+def _outcome(name, n, k, r, a, b):
+    """The constructor's value, or the type and text of the error it raised."""
+    try:
+        return _CONSTRUCTORS[name](n, k, r, a, b)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_CALLS = st.tuples(
+    st.sampled_from(sorted(_CONSTRUCTORS)),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2),
+    st.sampled_from(_SCOPE_SPECS),
+    st.sampled_from(_SCOPE_SPECS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CALLS, min_size=1, max_size=6))
+def test_reuse_scope_gives_the_unscoped_values(calls):
+    """A kept witness stream or slot table changes no value and no error;
+    the explicit spec is too short for the larger n, so errors come up too."""
+    want = [_outcome(*call) for call in calls]
+    for step in (1, -1):
+        with _reuse():
+            got = [_outcome(*call) for call in calls[::step]]
+        assert got[::step] == want
+
+
+def test_a_kept_slot_table_serves_a_larger_n():
+    """Tables kept at n = 3 must not cap the factorials a later n = 12 reads."""
+    fill = SequenceSpec.uniform(var("x1") + 1)
+    for spec in (X, FACTORIALS, fill):
+        for name in sorted(_CONSTRUCTORS):
+            want = [_CONSTRUCTORS[name](n, 2, 1, spec, B) for n in (3, 12)]
+            with _reuse():
+                got = [_CONSTRUCTORS[name](n, 2, 1, spec, B) for n in (3, 12)]
+            assert got == want, (name, spec)
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_too_short_sequences_fail_alike_in_a_scope(name):
+    short = SequenceSpec.explicit([1, 2])
+    for a, b in ((short, ONES), (ONES, short), (short, short)):
+        want = _outcome(name, 5, 2, 1, a, b)
+        with _reuse():
+            # the tables are warm with the slots a small call could fill
+            _outcome(name, 1, 1, 0, a, b)
+            assert _outcome(name, 5, 2, 1, a, b) == want, (a, b)
+    assert want[0] is ValueError and "need index" in want[1]
+
+
+def test_a_scope_keeps_inputs_only(monkeypatch):
+    """Each of the three witness streams is read once per scope, and no
+    constructor value is kept."""
+    calls = Counter()
+    for name in ("enumerate_pi", "enumerate_lambda", "_exponent_vectors"):
+        original = getattr(bell, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name, args] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bell, name, counted)
+    with _reuse():
+        for _ in range(2):
+            incomplete_bell(5, 2, X)
+            complete_lah_bell(5, X)
+            incomplete_r_lah_bell(5, 2, 1, A, B)
+        kept = _MEMO.get()
+        assert not any(
+            isinstance(value, SparsePolynomial) for value in kept.values()
+        ), "a constructor value was kept"
+    assert calls == Counter(
+        {
+            ("enumerate_pi", (5, 2)): 1,
+            ("_exponent_vectors", (5,)): 1,
+            ("enumerate_lambda", (5, 2, 2)): 1,
+        }
+    )
+    assert _MEMO.get() is None
+
+
+def test_a_scope_checks_counts_before_reading_a_kept_stream():
+    """True hashes like 1, so a kept stream must not stand in for a check."""
+    with _reuse():
+        incomplete_bell(3, 1, X)
+        incomplete_r_bell(3, 1, 1, A, B)
+        with pytest.raises(TypeError, match="^k must be an int, got bool"):
+            incomplete_bell(3, True, X)
+        with pytest.raises(TypeError, match="^k must be an int, got bool"):
+            incomplete_r_bell(3, True, 1, A, B)
+        with pytest.raises(TypeError, match="^rho must be an int, got bool"):
+            incomplete_r_bell(3, 1, True, A, B)

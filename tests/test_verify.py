@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from lahbell import series, verify
-from lahbell.bell import ONES
+from lahbell import bell, cli, series, verify
+from lahbell.bell import ONES, SequenceSpec, incomplete_bell, incomplete_r_lah_bell
+from lahbell.exact_core import _MEMO, _reuse
 from lahbell.poly import SparsePolynomial, const, var
 from lahbell.series import TruncatedSeries
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
@@ -289,3 +290,64 @@ def test_every_identity_has_two_fault_rows():
     rows = Counter(row.values[4] for row in FAULT_ROWS)
     assert set(rows) == {item.identity for item in run_suites("all", 0, 0)}
     assert min(rows.values()) >= 2
+
+
+def test_a_verify_run_enumerates_each_witness_stream_once(monkeypatch):
+    calls = Counter()
+    for name in ("enumerate_lambda", "enumerate_pi"):
+        original = getattr(bell, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name, args] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bell, name, counted)
+    assert all(item.passed for item in run_suites("all", 8, 2))
+    assert {name for name, _ in calls} == {"enumerate_lambda", "enumerate_pi"}
+    assert set(calls.values()) == {1}
+    # outside a scope each constructor call enumerates afresh
+    calls.clear()
+    a, b = SequenceSpec.symbolic("a"), SequenceSpec.symbolic("b")
+    for _ in range(2):
+        incomplete_bell(6, 3, a)
+        incomplete_r_lah_bell(6, 3, 1, a, b)
+    assert calls == Counter({("enumerate_pi", (6, 3)): 2, ("enumerate_lambda", (6, 3, 2)): 2})
+
+
+def test_the_reuse_scope_spans_a_run_and_closes_after_it(monkeypatch):
+    seen = []
+    oracle = verify._SUITES["series-oracle"]
+
+    def inspect(n_max, r_max):
+        results = oracle(n_max, r_max)
+        seen.append(dict(_MEMO.get()))
+        return results
+
+    assert _MEMO.get() is None
+    monkeypatch.setitem(verify._SUITES, "series-oracle", inspect)
+    assert all(item.passed for item in run_suites("all", 3, 1))
+    assert _MEMO.get() is None
+    # the last suite still sees what the earlier ones kept
+    [kept] = seen
+    assert {key[0] for key in kept if isinstance(key, tuple)} >= {
+        "witnesses", "slots", "head", "tail"
+    }
+
+    def fail(n_max, r_max):
+        raise RuntimeError("raised inside a suite")
+
+    monkeypatch.setitem(verify._SUITES, "eq30", fail)
+    with pytest.raises(RuntimeError, match="raised inside a suite"):
+        run_suites("all", 3, 1)
+    assert _MEMO.get() is None
+
+
+def test_a_run_keeps_its_inputs_in_the_scope_its_caller_opened(capsys):
+    with _reuse():
+        run_suites("theorem5", 3, 1)
+        assert any(key[0] == "witnesses" for key in _MEMO.get() if isinstance(key, tuple))
+    assert _MEMO.get() is None
+    # the verify command opens the scope around its run and closes it
+    assert cli.main(["verify", "--suite", "theorem5", "--n-max", "3"]) == 0
+    assert "1 of 1 identities passed" in capsys.readouterr().out
+    assert _MEMO.get() is None
