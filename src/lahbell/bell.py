@@ -56,7 +56,6 @@ from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
     ZERO,
-    Monomial,
     PolyAccumulator,
     SparsePolynomial,
     Variable,
@@ -329,8 +328,9 @@ def _witness_sum(
     of its k-part, worked out once per run, and of its r-part, worked out
     once per call, into one monomial key, and adds an int coefficient under
     (pairs, a fill count, b fill count).  At the end the keys are grouped by
-    their fill counts, each fill is raised once per distinct count, and the
-    groups are summed.
+    their fill counts, each group's pairs-keyed dict becomes a polynomial as
+    it is, each fill is raised once per distinct count, and the groups are
+    summed.
     """
     n = args[0]
     rho = args[2] if len(args) == 3 else 0
@@ -353,10 +353,10 @@ def _witness_sum(
             key = (_merge(k_pairs, r_pairs), a_count, b_count)
             coeff = exact_div(num, k_weight * r_weight) * k_factor * r_factor
             terms[key] = terms.get(key, 0) + coeff
-    by_counts: dict[tuple[int, int], dict[Monomial, int]] = {}
+    by_counts: dict[tuple[int, int], dict[tuple, int]] = {}
     for (pairs, a_count, b_count), coeff in terms.items():
         if coeff:
-            by_counts.setdefault((a_count, b_count), {})[Monomial._raw(pairs)] = coeff
+            by_counts.setdefault((a_count, b_count), {})[pairs] = coeff
     plain = SparsePolynomial._raw(by_counts.pop((0, 0), {}))
     if not by_counts:
         return plain

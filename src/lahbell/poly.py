@@ -7,14 +7,18 @@ monomials to nonzero integer coefficients.  Values are immutable and every
 operation returns a canonical result: no zero coefficients, no zero
 exponents, variables ordered family-first then index.
 
-Inside a Monomial each variable is an int code, rank << 40 | index, where
-rank is the family's place in the order x, a, b, y, scalar.  Indices stay
-below 2**40, so ordering codes as ints orders variables family-first then
-index, and a code alone says which variable it is: its high bits give the
-family and its low bits the index.  A monomial stores a tuple of (code,
-exponent) pairs sorted by code, and a product is a single merge of two such
-tuples; only the public Monomial constructor validates and sorts.  Codes
-are decoded only at the API edge: pairs, variables() and the renderings.
+Each variable is an int code, rank << 40 | index, where rank is the
+family's place in the order x, a, b, y, scalar.  Indices stay below 2**40,
+so ordering codes as ints orders variables family-first then index, and a
+code alone says which variable it is: its high bits give the family and its
+low bits the index.  A monomial is a tuple of (code, exponent) pairs sorted
+by code, the unit monomial the empty tuple, and a product is a single merge
+of two such tuples.  Polynomials and PolyAccumulator key their terms by
+these pair tuples, so term lookups hash and compare tuples of ints and no
+Monomial object is built inside the arithmetic.  Monomial is the public
+view of a key: terms() hands them out and the constructor takes them, and
+only the public Monomial constructor validates and sorts.  Codes are
+decoded only at the API edge: pairs, variables() and the renderings.
 var() hands out one shared polynomial per variable, which is safe because
 polynomials are never mutated.
 
@@ -76,7 +80,7 @@ class Variable:
 
     @property
     def code(self) -> int:
-        """The int that stands for this variable inside a Monomial."""
+        """The int that stands for this variable in a monomial's pairs."""
         return _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index
 
     @property
@@ -142,6 +146,17 @@ def _merge(p: tuple, q: tuple) -> tuple:
             cp, cq = p[i][0], q[j][0]
 
 
+def _sort_key(pairs: tuple) -> tuple:
+    """Ascending sort by this key lists monomials in descending graded lex."""
+    return (-sum(e for _, e in pairs), tuple((c, -e) for c, e in pairs))
+
+
+def _text(pairs: tuple) -> str:
+    if not pairs:
+        return "1"
+    return "*".join(_name(c) if e == 1 else f"{_name(c)}^{e}" for c, e in pairs)
+
+
 class Monomial:
     """A finite product of variable powers; the empty product is the unit."""
 
@@ -205,14 +220,10 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         """Ascending sort by this key lists monomials in descending graded lex."""
-        return (-self.degree, tuple((c, -e) for c, e in self._pairs))
+        return _sort_key(self._pairs)
 
     def __str__(self) -> str:
-        if not self._pairs:
-            return "1"
-        return "*".join(
-            _name(c) if e == 1 else f"{_name(c)}^{e}" for c, e in self._pairs
-        )
+        return _text(self._pairs)
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)!r})"
@@ -230,22 +241,24 @@ class SparsePolynomial:
         self,
         terms: Union[Mapping[Monomial, int], Iterable[tuple[Monomial, int]]] = (),
     ) -> None:
-        data: dict[Monomial, int] = {}
+        data: dict[tuple, int] = {}
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in pairs:
             if not isinstance(mono, Monomial):
                 raise TypeError("polynomial keys must be Monomial")
             _check_coefficient(coeff)
             if coeff:
-                total = data.get(mono, 0) + coeff
+                key = mono._pairs
+                total = data.get(key, 0) + coeff
                 if total:
-                    data[mono] = total
-                elif mono in data:
-                    del data[mono]
+                    data[key] = total
+                elif key in data:
+                    del data[key]
         self._terms = data
 
     @classmethod
-    def _raw(cls, clean: dict[Monomial, int]) -> "SparsePolynomial":
+    def _raw(cls, clean: dict[tuple, int]) -> "SparsePolynomial":
+        """Wrap a dict of code-sorted pair tuples to nonzero ints, unchecked."""
         obj = object.__new__(cls)
         obj._terms = clean
         return obj
@@ -257,34 +270,38 @@ class SparsePolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def _ordered(self) -> list[tuple[tuple, int]]:
+        """(pairs, coefficient) in canonical (descending graded lex) order."""
+        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (descending graded lexicographic) order."""
-        for mono in sorted(self._terms, key=Monomial.sort_key):
-            yield mono, self._terms[mono]
+        for pairs, coeff in self._ordered():
+            yield Monomial._raw(pairs), coeff
 
     def variables(self) -> list[Variable]:
         seen = set()
-        for mono in self._terms:
-            seen.update(c for c, _ in mono._pairs)
+        for pairs in self._terms:
+            seen.update(c for c, _ in pairs)
         return [_variable(c) for c in sorted(seen)]
 
     def as_int(self) -> int:
         """The value of a constant polynomial; error if any variable remains."""
         if not self._terms:
             return 0
-        if len(self._terms) == 1 and _UNIT in self._terms:
-            return self._terms[_UNIT]
+        if len(self._terms) == 1 and () in self._terms:
+            return self._terms[()]
         raise ValueError(f"polynomial is not constant: {self.to_text()}")
 
     def __add__(self, other: Union["SparsePolynomial", int]) -> "SparsePolynomial":
         other = as_poly(other)
         data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = data.get(mono, 0) + coeff
+        for key, coeff in other._terms.items():
+            total = data.get(key, 0) + coeff
             if total:
-                data[mono] = total
-            elif mono in data:
-                del data[mono]
+                data[key] = total
+            elif key in data:
+                del data[key]
         return SparsePolynomial._raw(data)
 
     __radd__ = __add__
@@ -307,21 +324,12 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         if len(self._terms) == 1 and len(other._terms) == 1:
-            ((m1, c1),) = self._terms.items()
-            ((m2, c2),) = other._terms.items()
-            return SparsePolynomial._raw({m1 * m2: c1 * c2})
-        data: dict[Monomial, int] = {}
-        right = [(m._pairs, c) for m, c in other._terms.items()]
-        for m1, c1 in self._terms.items():
-            p1 = m1._pairs
-            for p2, c2 in right:
-                mono = Monomial._raw(_merge(p1, p2))
-                total = data.get(mono, 0) + c1 * c2
-                if total:
-                    data[mono] = total
-                elif mono in data:
-                    del data[mono]
-        return SparsePolynomial._raw(data)
+            ((p1, c1),) = self._terms.items()
+            ((p2, c2),) = other._terms.items()
+            return SparsePolynomial._raw({_merge(p1, p2): c1 * c2})
+        acc = PolyAccumulator()
+        acc._add_product(self, other, 1)
+        return acc.build()
 
     __rmul__ = __mul__
 
@@ -333,8 +341,8 @@ class SparsePolynomial:
         if k == 1:
             return self
         if len(self._terms) == 1:
-            ((mono, coeff),) = self._terms.items()
-            return SparsePolynomial._raw({mono**k: coeff**k})
+            ((pairs, coeff),) = self._terms.items()
+            return SparsePolynomial._raw({tuple((c, e * k) for c, e in pairs): coeff**k})
         result = self
         for _ in range(k - 1):
             result = result * self
@@ -349,19 +357,50 @@ class SparsePolynomial:
     def substitute_all(
         self, mapping: Mapping[Variable, Union["SparsePolynomial", int]]
     ) -> "SparsePolynomial":
-        """Replace every mapped variable by its polynomial value, in one pass."""
-        values = {v.code: as_poly(p) for v, p in mapping.items()}
+        """Replace every mapped variable by its polynomial value, in one pass.
+
+        An image c*v of a variable v's own copy, as in x_i -> i!*x_i, is a
+        rescale: each term takes c^e under an unchanged key.  A zero image
+        is a rescale by 0, which drops the terms it meets.  Every other
+        image is multiplied out term by term.
+        """
+        scales: dict[int, int] = {}
+        images: dict[int, SparsePolynomial] = {}
+        for v, value in mapping.items():
+            if not isinstance(v, Variable):
+                raise TypeError(f"substitution keys must be Variable, got {type(v).__name__}")
+            image = as_poly(value)
+            own = ((v.code, 1),)
+            if not image:
+                scales[v.code] = 0
+            elif len(image) == 1 and own in image._terms:
+                scales[v.code] = image._terms[own]
+            else:
+                images[v.code] = image
+        terms = self._terms
+        if scales:
+            terms = {}
+            for pairs, coeff in self._terms.items():
+                for c, e in pairs:
+                    scale = scales.get(c)
+                    if scale is not None:
+                        coeff *= scale**e
+                if coeff:
+                    terms[pairs] = coeff
+        if not images:
+            return SparsePolynomial._raw(terms)
         acc = PolyAccumulator()
-        for mono, coeff in self._terms.items():
+        for pairs, coeff in terms.items():
             residual = []
             piece = ONE
-            for c, e in mono._pairs:
-                if c in values:
-                    piece = piece * values[c] ** e
-                else:
+            for c, e in pairs:
+                image = images.get(c)
+                if image is None:
                     residual.append((c, e))
+                else:
+                    piece = piece * image**e
             if residual:
-                piece = piece * SparsePolynomial._raw({Monomial._raw(tuple(residual)): 1})
+                piece = piece * SparsePolynomial._raw({tuple(residual): 1})
             acc.add(piece, coeff)
         return acc.build()
 
@@ -377,11 +416,14 @@ class SparsePolynomial:
         for v in self.variables():
             if v not in assignment:
                 raise ValueError(f"no value provided for variable {v.name}")
-            values[v.code] = assignment[v]
+            value = assignment[v]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"value of {v.name} must be an int, got {type(value).__name__}")
+            values[v.code] = value
         total = 0
-        for mono, coeff in self._terms.items():
+        for pairs, coeff in self._terms.items():
             product = coeff
-            for c, e in mono._pairs:
+            for c, e in pairs:
                 product *= values[c] ** e
             total += product
         return total
@@ -398,8 +440,8 @@ class SparsePolynomial:
         terms = self._terms
         if not terms:
             return hash(0)
-        if len(terms) == 1 and _UNIT in terms:
-            return hash(terms[_UNIT])
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
         return hash(frozenset(terms.items()))
 
     def to_text(self) -> str:
@@ -407,14 +449,14 @@ class SparsePolynomial:
         if not self._terms:
             return "0"
         out: list[str] = []
-        for mono, coeff in self.terms():
+        for pairs, coeff in self._ordered():
             mag = abs(coeff)
-            if mono.is_unit:
+            if not pairs:
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = _text(pairs)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_text(pairs)}"
             if not out:
                 out.append(f"-{body}" if coeff < 0 else body)
             else:
@@ -427,9 +469,9 @@ class SparsePolynomial:
             "terms": [
                 {
                     "coeff": str(coeff),
-                    "monomial": {_name(c): e for c, e in mono._pairs},
+                    "monomial": {_name(c): e for c, e in pairs},
                 }
-                for mono, coeff in self.terms()
+                for pairs, coeff in self._ordered()
             ]
         }
 
@@ -451,23 +493,41 @@ class SparsePolynomial:
 
 
 class PolyAccumulator:
-    """Mutable builder that sums scaled polynomial contributions."""
+    """Mutable builder that sums scaled polynomial contributions.
+
+    Like a polynomial it keys its terms by code-sorted (code, exponent) pair
+    tuples, not by Monomial, and build() hands its dict to the polynomial.
+    """
 
     __slots__ = ("_data",)
 
     def __init__(self) -> None:
-        self._data: dict[Monomial, int] = {}
+        self._data: dict[tuple, int] = {}
 
     def add(self, poly: SparsePolynomial, scale: int = 1) -> None:
         if not scale:
             return
         data = self._data
-        for mono, coeff in poly._terms.items():
-            total = data.get(mono, 0) + coeff * scale
+        for key, coeff in poly._terms.items():
+            total = data.get(key, 0) + coeff * scale
             if total:
-                data[mono] = total
-            elif mono in data:
-                del data[mono]
+                data[key] = total
+            elif key in data:
+                del data[key]
+
+    def _add_product(self, p: SparsePolynomial, q: SparsePolynomial, scale: int) -> None:
+        """Add scale * p * q term by term, building no product polynomial."""
+        data = self._data
+        right = list(q._terms.items())
+        for p1, c1 in p._terms.items():
+            c1 *= scale
+            for p2, c2 in right:
+                key = _merge(p1, p2)
+                total = data.get(key, 0) + c1 * c2
+                if total:
+                    data[key] = total
+                elif key in data:
+                    del data[key]
 
     def build(self) -> SparsePolynomial:
         built = SparsePolynomial._raw(self._data)
@@ -485,7 +545,7 @@ def const(value: int) -> SparsePolynomial:
     _check_coefficient(value)
     if value == 0:
         return SparsePolynomial._raw({})
-    return SparsePolynomial._raw({_UNIT: value})
+    return SparsePolynomial._raw({(): value})
 
 
 # code -> the shared polynomial of that one variable, built on first use.
@@ -501,7 +561,7 @@ def var(v: Union[Variable, str]) -> SparsePolynomial:
     code = v.code
     poly = _VAR_POLYS.get(code)
     if poly is None:
-        poly = _VAR_POLYS[code] = SparsePolynomial._raw({Monomial({v: 1}): 1})
+        poly = _VAR_POLYS[code] = SparsePolynomial._raw({((code, 1),): 1})
     return poly
 
 

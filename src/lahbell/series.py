@@ -134,7 +134,7 @@ def _convolve(
         v = right[n - i]
         if u.is_zero or v.is_zero:
             continue
-        acc.add(u * v, comb(n, i))
+        acc._add_product(u, v, comb(n, i))
     return acc.build()
 
 

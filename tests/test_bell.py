@@ -490,6 +490,15 @@ NOT_INTEGERS = [
     ("x1 + True", lambda: var("x1") + True),
     ("x1 * True", lambda: var("x1") * True),
     ("True * x1", lambda: True * var("x1")),
+    ("(2*x1 + a2^2).evaluate(x1=1.5)", lambda: (2 * var("x1") + var("a2") ** 2).evaluate(
+        {Variable("x", 1): 1.5, Variable("a", 2): 1}
+    )),
+    ("x1.evaluate(x1=Fraction(1, 2))", lambda: var("x1").evaluate(
+        {Variable("x", 1): Fraction(1, 2)}
+    )),
+    ("(2*x1 + a2^2).evaluate(a2=True)", lambda: (2 * var("x1") + var("a2") ** 2).evaluate(
+        {Variable("x", 1): 1, Variable("a", 2): True}
+    )),
 ]
 
 

@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic, canonical text form, and JSON round-trips."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -330,3 +332,128 @@ def test_equal_polynomials_hash_equal(p, q):
     assert p * q == q * p
     assert hash(p * q) == hash(q * p)
     assert hash(p + q - q) == hash(p)
+
+
+# -- refusals at the API edge -------------------------------------------------
+
+
+@pytest.mark.parametrize("value, kind", [(1.5, "float"), (True, "bool"), (2.0, "float")])
+def test_evaluate_refuses_a_value_that_is_not_an_int_by_name(value, kind):
+    p = 2 * var("x1") + var("a2") ** 2
+    with pytest.raises(TypeError, match=f"^value of a2 must be an int, got {kind}$"):
+        p.evaluate({Variable("x", 1): 1, Variable("a", 2): value})
+    # a value for a variable the polynomial does not hold is never read
+    assert var("x1").evaluate({Variable("x", 1): 3, Variable("a", 2): value}) == 3
+
+
+@pytest.mark.parametrize("key", ["x1", 1, var("x1")])
+def test_substitution_keys_must_be_variables(key):
+    p = var("x1") ** 2 + 3
+    kind = type(key).__name__
+    with pytest.raises(TypeError, match=f"^substitution keys must be Variable, got {kind}$"):
+        p.substitute_all({key: 2})
+    with pytest.raises(TypeError, match=f"^substitution keys must be Variable, got {kind}$"):
+        p.substitute(key, 2)
+
+
+# -- substitution against evaluation ------------------------------------------
+
+_UNIVERSE = [Variable("x", 1), Variable("x", 2), Variable("a", 1), SCALAR_X]
+_nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
+_small_monomials = st.dictionaries(
+    st.sampled_from(_UNIVERSE), st.integers(min_value=0, max_value=3), max_size=3
+).map(Monomial)
+_small_polys = st.lists(st.tuples(_small_monomials, _nonzero), max_size=4).map(SparsePolynomial)
+
+
+def _images(v):
+    """Every kind of image substitute_all tells apart, for variable v."""
+    return st.one_of(
+        st.just(const(0)),
+        _nonzero.map(lambda c: c * var(v)),
+        st.builds(lambda m, c: SparsePolynomial([(m, c)]), _small_monomials, _nonzero),
+        _small_polys.filter(lambda p: len(p) >= 2),
+    )
+
+
+_mappings = st.lists(
+    st.sampled_from(_UNIVERSE).flatmap(lambda v: st.tuples(st.just(v), _images(v))),
+    max_size=4,
+    unique_by=lambda item: item[0],
+).map(dict)
+_points = st.fixed_dictionaries(
+    {v: st.integers(min_value=-3, max_value=3) for v in _UNIVERSE}
+)
+
+_x1, _x2, _a1 = _UNIVERSE[:3]
+
+
+@given(_small_polys, _mappings, _points)
+@example(  # eq30's factorial weights: every image rescales its own variable
+    var("x1") ** 2 * var("x2") + 5 * var("x2") ** 3,
+    {_x1: 1 * var("x1"), _x2: 2 * var("x2")},
+    {v: 2 for v in _UNIVERSE},
+)
+@example(  # eq23's alpha = 0 and an unmapped variable
+    var("x1") * var("a1") + var("a1") ** 2 + 3,
+    {_x1: const(0)},
+    {v: 3 for v in _UNIVERSE},
+)
+@example(  # one-term images on other variables and with exponents above 1
+    var("x1") ** 2 * var("x2") + var("x2") * var("a1"),
+    {_x1: -2 * var("x2") ** 2, _x2: 3 * var("x1") * var("a1") ** 2},
+    {_x1: 2, _x2: -1, _a1: 3, SCALAR_X: 1},
+)
+@example(  # multi-term images next to a rescale and a zero image
+    var("x1") ** 2 * var("x2") * var(SCALAR_X) + var("a1") * var("x2") + 7,
+    {_x1: var("x2") + 1, _x2: 4 * var("x2"), SCALAR_X: var("x1") - var("a1") ** 2, _a1: const(0)},
+    {_x1: -2, _x2: 3, _a1: 2, SCALAR_X: -1},
+)
+def test_substitute_all_matches_evaluating_at_the_images(p, mapping, point):
+    at_images = {v: mapping[v].evaluate(point) if v in mapping else point[v] for v in _UNIVERSE}
+    assert p.substitute_all(mapping).evaluate(point) == p.evaluate(at_images)
+
+
+# -- one polynomial, whichever way it was built --------------------------------
+
+
+@given(_polys, _polys, st.integers(min_value=0, max_value=3), st.integers(-(10**30), 10**30))
+def test_construction_routes_agree_on_equality_and_hash(p, q, k, c):
+    for built in ((p * q + q) ** k - 3 * p, var("x1") * 0 + c):
+        for other in (
+            SparsePolynomial(list(built.terms())),
+            SparsePolynomial(dict(built.terms())),
+            SparsePolynomial.from_json_obj(built.to_json_obj()),
+        ):
+            assert other == built
+            assert hash(other) == hash(built)
+            assert other.to_text() == built.to_text()
+    assert const(c) == c
+    assert hash(const(c)) == hash(c)
+
+
+# -- the arithmetic builds no Monomial and no product for rescale images -------
+
+
+def test_rescale_and_zero_images_multiply_no_polynomials(monkeypatch):
+    p = (var("x1") + var("x2") * var("a1")) ** 3 + 2 * var("x2")
+    weights = {_x1: 2 * var("x1"), _x2: 6 * var("x2"), _a1: -1 * var("a1")}
+    eq23_alpha_zero = {_x1: const(0), _x2: const(0)}
+    calls = Counter()
+    product = SparsePolynomial.__mul__
+
+    def counted(self, other):
+        calls["mul"] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
+    monkeypatch.setattr(SparsePolynomial, "__rmul__", counted)
+    weighted = p.substitute_all(weights)
+    vanished = p.substitute_all(eq23_alpha_zero)
+    assert calls["mul"] == 0
+    monkeypatch.undo()
+    point = {v: i + 2 for i, v in enumerate(_UNIVERSE)}
+    assert weighted.evaluate(point) == p.evaluate(
+        {_x1: 2 * point[_x1], _x2: 6 * point[_x2], _a1: -point[_a1], SCALAR_X: 0}
+    )
+    assert vanished == 0

@@ -8,7 +8,7 @@ import pytest
 from lahbell import bell, cli, series, verify
 from lahbell.bell import ONES, SequenceSpec, incomplete_bell, incomplete_r_lah_bell
 from lahbell.exact_core import _MEMO, _reuse
-from lahbell.poly import SparsePolynomial, const, var
+from lahbell.poly import Monomial, SparsePolynomial, const, var
 from lahbell.series import TruncatedSeries
 from lahbell.verify import SUITE_NAMES, IdentityResult, run_suites
 
@@ -284,6 +284,32 @@ def test_series_oracle_builds_each_head_and_tail_once(monkeypatch):
     assert counts["products"] <= 130
     # r-lah-bell, r-lah-bell-poly, complete-generic and complete-r-bell
     assert counts["exp"] == 4
+
+
+def test_a_verify_run_builds_no_monomial(monkeypatch):
+    """Terms are keyed by pair tuples, so the arithmetic of a whole run, and
+    rendering its polynomials, never wraps one in a Monomial."""
+    counts = Counter()
+    raw, init = vars(Monomial)["_raw"].__func__, Monomial.__init__
+
+    def counted_raw(cls, pairs):
+        counts["_raw"] += 1
+        return raw(cls, pairs)
+
+    def counted_init(self, *args):
+        counts["__init__"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Monomial, "_raw", classmethod(counted_raw))
+    monkeypatch.setattr(Monomial, "__init__", counted_init)
+    assert all(item.passed for item in run_suites("all", 8, 2))
+    p = incomplete_r_lah_bell(5, 2, 1, SequenceSpec.symbolic("a"), SequenceSpec.symbolic("b"))
+    assert p.to_text().startswith("120*a1^2*b1*b4 + 120*a1^2*b2*b3 + ")
+    assert p.to_json_obj()["terms"][0]["monomial"] == {"a1": 2, "b1": 1, "b4": 1}
+    assert counts == Counter()
+    # the public views still hand out Monomials
+    assert [str(mono) for mono, _ in const(3).terms()] == ["1"]
+    assert counts == Counter({"_raw": 1})
 
 
 def test_every_identity_has_two_fault_rows():
