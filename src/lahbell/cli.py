@@ -37,7 +37,7 @@ from .exact_core import (
     r_lah_bell_number,
     rlah,
 )
-from .poly import SCALAR_X, var
+from .poly import SCALAR_X, SparsePolynomial, _name, _PairTable, var
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "run"]
@@ -268,6 +268,28 @@ def _render_csv(record: dict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _json_entry(code: int, e: int) -> str:
+    return f'        "{_name(code)}": {e}'
+
+
+def _json_terms(poly: SparsePolynomial) -> str:
+    """The "terms" array of poly.to_json_obj() as json.dumps(indent=2) writes
+    it one level deep, filled into fixed templates.  Names are ASCII letters
+    and digits and coefficients digits after an optional "-", so nothing in
+    them needs escaping."""
+    ordered = poly._ordered()
+    if not ordered:
+        return "[]"
+    entries = _PairTable(_json_entry).__getitem__
+    out = []
+    for pairs, coeff in ordered:
+        monomial = "{\n" + ",\n".join(map(entries, pairs)) + "\n      }" if pairs else "{}"
+        out.append(
+            '    {\n      "coeff": "' + str(coeff) + '",\n      "monomial": ' + monomial + "\n    }"
+        )
+    return "[\n" + ",\n".join(out) + "\n  ]"
+
+
 def _render_json(record: dict) -> str:
     kind = record["kind"]
     payload: dict = {"kind": kind, "query": record["query"]}
@@ -278,7 +300,10 @@ def _render_json(record: dict) -> str:
     elif kind == "number":
         payload["value"] = str(record["value"])
     elif kind == "polynomial":
-        payload.update(record["poly"].to_json_obj())
+        # json.dumps still writes kind and query, escaping any user text; the
+        # terms go in before its closing brace, written as it would write them.
+        head = json.dumps(payload, indent=2)
+        return head[:-2] + ',\n  "terms": ' + _json_terms(record["poly"]) + "\n}\n"
     else:
         payload["results"] = [dataclasses.asdict(item) for item in record["results"]]
         payload["all_passed"] = all(item.passed for item in record["results"])

@@ -26,12 +26,17 @@ Polynomials hash consistently with equality, including equality with an
 int: hash(const(c)) == hash(c).
 
 Text and JSON renderings list terms in descending graded lexicographic
-order, so equal polynomials always render identically.
+order, so equal polynomials always render identically.  A rendering reads
+the text and the sort key of each (code, exponent) pair from a _PairTable
+built for it, so each name is decoded once per render, not once per term;
+the command line writes its JSON terms from fixed templates filled from
+such a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .exact_core import _check_nonnegative_int, exact_div
@@ -57,6 +62,7 @@ _INDEXED_FAMILIES = _FAMILIES[:-1]
 _RANK_SHIFT = 40
 _INDEX_LIMIT = 1 << _RANK_SHIFT
 _INDEX_MASK = _INDEX_LIMIT - 1
+_exponent = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,38 @@ def _sort_key(pairs: tuple) -> tuple:
     return (-sum(e for _, e in pairs), tuple((c, -e) for c, e in pairs))
 
 
+def _power(code: int, e: int) -> str:
+    """The text of one (code, exponent) pair: 'x1', or 'x1^2' above the first power."""
+    return _name(code) if e == 1 else f"{_name(code)}^{e}"
+
+
 def _text(pairs: tuple) -> str:
     if not pairs:
         return "1"
-    return "*".join(_name(c) if e == 1 else f"{_name(c)}^{e}" for c, e in pairs)
+    return "*".join(_power(c, e) for c, e in pairs)
+
+
+class _PairTable(dict):
+    """(code, exponent) -> form(code, exponent), worked out on a pair's first use.
+
+    One table serves one rendering, where the same few pairs recur in
+    thousands of terms: each is decoded once, and every later lookup is a
+    plain dict hit.
+    """
+
+    __slots__ = ("_form",)
+
+    def __init__(self, form) -> None:
+        super().__init__()
+        self._form = form
+
+    def __missing__(self, pair: tuple[int, int]):
+        value = self[pair] = self._form(*pair)
+        return value
+
+
+def _descending(code: int, e: int) -> tuple[int, int]:
+    return code, -e
 
 
 class Monomial:
@@ -271,8 +305,16 @@ class SparsePolynomial:
         return len(self._terms)
 
     def _ordered(self) -> list[tuple[tuple, int]]:
-        """(pairs, coefficient) in canonical (descending graded lex) order."""
-        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+        """(pairs, coefficient) in canonical (descending graded lex) order.
+
+        The key orders as _sort_key does, flattened: the negated degree, then
+        each pair's (code, -exponent), read from a table built for this sort.
+        """
+        flip = _PairTable(_descending).__getitem__
+        return sorted(
+            self._terms.items(),
+            key=lambda item: (-sum(map(_exponent, item[0])), *map(flip, item[0])),
+        )
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (descending graded lexicographic) order."""
@@ -448,19 +490,18 @@ class SparsePolynomial:
         """Canonical human-readable form, '0' for the zero polynomial."""
         if not self._terms:
             return "0"
+        names = _PairTable(_power).__getitem__
         out: list[str] = []
         for pairs, coeff in self._ordered():
+            out.append(" - " if coeff < 0 else " + ")
             mag = abs(coeff)
             if not pairs:
-                body = str(mag)
+                out.append(str(mag))
             elif mag == 1:
-                body = _text(pairs)
+                out.append("*".join(map(names, pairs)))
             else:
-                body = f"{mag}*{_text(pairs)}"
-            if not out:
-                out.append(f"-{body}" if coeff < 0 else body)
-            else:
-                out.append(f" - {body}" if coeff < 0 else f" + {body}")
+                out.append(f"{mag}*" + "*".join(map(names, pairs)))
+        out[0] = "-" if out[0] == " - " else ""
         return "".join(out)
 
     def to_json_obj(self) -> dict:

@@ -42,7 +42,7 @@ from .exact_core import (
     rlah,
 )
 from .partitions import lah_via_pi, rlah_via_lambda
-from .poly import SCALAR_X, SparsePolynomial, Variable, const, var
+from .poly import SCALAR_X, SparsePolynomial, Variable, const, indexed_var, var
 from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
@@ -113,15 +113,23 @@ def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
     return [_verdict("theorem1", identity, f"n<={n_max}", failures)]
 
 
+def _weights(family: str, count: int, weight: Callable[[int], int]) -> dict:
+    """{v_i: weight(i) * v_i for i = 1..count}, to substitute_all.  It leaves
+    the variables a polynomial lacks alone, so one map built at a suite's
+    bound serves every (n, k) under it."""
+    return {
+        Variable(family, i): weight(i) * indexed_var(family, i) for i in range(1, count + 1)
+    }
+
+
 def _check_prop2(n_max: int, r_max: int) -> list[IdentityResult]:
     bounds = f"n<={n_max}, k<=n"
+    weights = _weights("x", n_max + 1, factorial)
     weighted = (
         (
             f"n={n} k={k}",
             incomplete_lah_bell(n, k, _sym("x")),
-            incomplete_bell(n, k, _sym("x")).substitute_all(
-                {Variable("x", i): factorial(i) * var(Variable("x", i)) for i in range(1, n + 2)}
-            ),
+            incomplete_bell(n, k, _sym("x")).substitute_all(weights),
         )
         for n, k, _ in _triangles(n_max, 0)
     )
@@ -153,17 +161,16 @@ def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "partial ordered-block polynomials are homogeneous of degree k"
+    scalings = {alpha: _weights("x", n_max + 1, lambda i: alpha) for alpha in range(-3, 4)}
     cases = (
         (
             f"n={n} k={k} alpha={alpha}",
-            base.substitute_all(
-                {Variable("x", i): alpha * var(Variable("x", i)) for i in range(1, n - k + 2)}
-            ),
+            base.substitute_all(scaling),
             base * alpha**k,
         )
         for n, k, _ in _triangles(n_max, 0)
         for base in [incomplete_lah_bell(n, k, _sym("x"))]
-        for alpha in range(-3, 4)
+        for alpha, scaling in scalings.items()
     )
     bounds = f"n<={n_max}, k<=n, alpha in -3..3"
     return [_verdict("eq23", identity, bounds, _mismatches(cases))]
@@ -181,19 +188,16 @@ def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "ordered-block extended polynomial equals factorially weighted plain one"
+    weights = _weights("a", n_max, factorial) | _weights(
+        "b", n_max + 1, lambda j: factorial(j - 1)
+    )
     cases = (
         (
             f"n={n} k={k} r={r}",
             incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b")),
             incomplete_r_bell(n, k, 2 * r, _sym("a"), _sym("b")).substitute_all(weights),
         )
-        for n, r in _rows(n_max, r_max)
-        # one weight map per row, shared by the row's k
-        for weights in [
-            {Variable("a", i): factorial(i) * var(Variable("a", i)) for i in range(1, n + 1)}
-            | {Variable("b", j): factorial(j - 1) * var(Variable("b", j)) for j in range(1, n + 2)}
-        ]
-        for k in range(n + 1)
+        for n, k, r in _triangles(n_max, r_max)
     )
     return [_verdict("eq30", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
 

@@ -9,12 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lahbell import cli
 from lahbell.exact_core import IntegralityError
-from lahbell.poly import SparsePolynomial
+from lahbell.poly import SCALAR_X, Monomial, SparsePolynomial, Variable, const, term, var
 from lahbell.verify import IdentityResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +76,33 @@ GOLDEN_CASES = [
         ],
         "poly_complete_r_lah_bell_n2_r1_x3.json",
     ),
+    # the zero polynomial, a negative constant on the unit monomial, a leading
+    # negative term among mixed signs, and indices of 10 and above in order
+    (["poly", "incomplete-bell", "--n", "3", "--k", "5"], "poly_incomplete_bell_n3_k5_zero.txt"),
+    (
+        ["poly", "incomplete-bell", "--n", "3", "--k", "5", "--format", "json"],
+        "poly_incomplete_bell_n3_k5_zero.json",
+    ),
+    (
+        ["poly", "complete-bell", "--n", "3", "--seq-a=-1,2,-3"],
+        "poly_complete_bell_n3_negative_constant.txt",
+    ),
+    (
+        ["poly", "complete-bell", "--n", "3", "--seq-a=-1,2,-3", "--format", "json"],
+        "poly_complete_bell_n3_negative_constant.json",
+    ),
+    (
+        ["poly", "incomplete-r-lah-bell", "--n", "3", "--k", "1", "--r", "1", "--seq-a=-1,2,-3"],
+        "poly_incomplete_r_lah_bell_n3_k1_r1_mixed_signs.txt",
+    ),
+    (
+        [
+            "poly", "incomplete-r-lah-bell", "--n", "3", "--k", "1", "--r", "1", "--seq-a=-1,2,-3",
+            "--format", "json",
+        ],
+        "poly_incomplete_r_lah_bell_n3_k1_r1_mixed_signs.json",
+    ),
+    (["poly", "complete-bell", "--n", "11"], "poly_complete_bell_n11.txt"),
     (["verify", "--suite", "all"], "verify_all.txt"),
     (["verify", "--suite", "all", "--format", "json"], "verify_all.json"),
 ]
@@ -118,6 +145,99 @@ def test_json_polynomial_round_trips(capsys):
     poly = SparsePolynomial.from_json_obj(doc)
     _, text = run_cli(capsys, ["poly", "theorem7", "--n", "2", "--r", "1"])
     assert poly.to_text() + "\n" == text
+
+
+# One argv per poly family at a small n, with the flags the family requires.
+_POLY_ARGVS = {
+    "complete-bell": ["--n", "4"],
+    "incomplete-bell": ["--n", "4", "--k", "2"],
+    "complete-lah-bell": ["--n", "4"],
+    "incomplete-lah-bell": ["--n", "4", "--k", "2"],
+    "incomplete-r-lah-bell": ["--n", "4", "--k", "2", "--r", "1"],
+    "complete-r-lah-bell": ["--n", "3", "--r", "1"],
+    "theorem7": ["--n", "3", "--r", "1"],
+}
+_SEQ_KINDS = ["symbolic", "ones", "factorials", "-1,2,-3,4,5,-6,7"]
+
+
+@pytest.mark.parametrize("kind", _SEQ_KINDS)
+@pytest.mark.parametrize("family", sorted(_POLY_ARGVS))
+def test_json_polynomial_round_trips_for_every_family(capsys, family, kind):
+    """The JSON terms read back to the computed polynomial, whose text is the
+    text output; a family that takes --seq-b gets the same kind there."""
+    parser = cli.build_parser()
+    argv = ["poly", family, *_POLY_ARGVS[family], f"--seq-a={kind}"]
+    if "seq_b" in cli._FOR_POLY[family][1]:
+        argv.append(f"--seq-b={kind}")
+    computed = cli._cmd_poly(parser, parser.parse_args(argv))["poly"]
+    code, text = run_cli(capsys, argv)
+    _, blob = run_cli(capsys, argv + ["--format", "json"])
+    read_back = SparsePolynomial.from_json_obj(json.loads(blob))
+    assert code == 0
+    assert read_back == computed
+    assert read_back.to_text() + "\n" == text
+
+
+_RANKS = {"x": 0, "a": 1, "b": 2, "y": 3, "scalar": 4}
+
+
+def _reference_text(poly):
+    """Canonical text rebuilt from the rules: terms by descending degree, then
+    ascending family and index with the higher power first, signs in between."""
+
+    def name(v, e):
+        base = "x" if v.family == "scalar" else f"{v.family}{v.index}"
+        return base if e == 1 else f"{base}^{e}"
+
+    def order(item):
+        pairs = item[0].pairs
+        return -sum(e for _, e in pairs), [(_RANKS[v.family], v.index, -e) for v, e in pairs]
+
+    text = ""
+    for mono, coeff in sorted(poly.terms(), key=order):
+        names = "*".join(name(v, e) for v, e in mono.pairs)
+        mag = abs(coeff)
+        body = str(mag) if not names else names if mag == 1 else f"{mag}*{names}"
+        if not text:
+            text = "-" + body if coeff < 0 else body
+        else:
+            text += (" - " if coeff < 0 else " + ") + body
+    return text or "0"
+
+
+# few indices and exponents, so that terms often tie on degree and leading pair
+_render_variables = st.one_of(
+    st.builds(Variable, st.sampled_from(["x", "a", "b", "y"]), st.sampled_from([1, 2, 10, 12])),
+    st.just(SCALAR_X),
+)
+_render_monomials = st.dictionaries(
+    _render_variables, st.sampled_from([0, 1, 2, 3, 10, 11]), max_size=4
+).map(Monomial)
+_render_coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**25), 10**25))
+_render_polys = st.lists(st.tuples(_render_monomials, _render_coeffs), max_size=8).map(
+    SparsePolynomial
+)
+_queries = st.dictionaries(
+    st.text(max_size=4), st.one_of(st.integers(-3, 30), st.text(max_size=6)), max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_render_polys, _queries)
+@example(SparsePolynomial(), {"family": "incomplete-bell", "n": 3, "k": 5})
+@example(const(-10), {"family": "complete-bell", "seq_a": "-1,2,-3"})
+@example(const(1), {})
+@example(-var(SCALAR_X) ** 11 + 1, {"\"q\u00e9\n": "\\"})
+@example(
+    term(-3, x1=2, x10=1) + term(1, x2=10) - term(1, a12=1, b3=1, x=1) + 7,
+    {"family": "complete-bell", "n": 11},
+)
+@example(term(1, x1=1, x2=2) + term(5, x1=2, x2=1) - term(1, x1=3) + term(2, x2=3), {})
+def test_polynomial_renderings_match_the_reference(poly, query):
+    record = {"kind": "polynomial", "query": query, "poly": poly}
+    assert cli._render_text(record) == _reference_text(poly) + "\n"
+    want = json.dumps({"kind": "polynomial", "query": query, **poly.to_json_obj()}, indent=2)
+    assert cli._render_json(record) == want + "\n"
 
 
 def test_csv_sequence_layout(capsys):
