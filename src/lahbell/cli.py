@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import deque
 from typing import Sequence
 
 from .bell import (
@@ -31,10 +32,9 @@ from .bell import (
 from .exact_core import (
     IntegralityError,
     _reuse,
-    _rlah_walk,
+    _row_totals,
+    _rows,
     lah,
-    lah_bell_number,
-    r_lah_bell_number,
     rlah,
 )
 from .poly import SCALAR_X, SparsePolynomial, _name, _PairTable, var
@@ -43,13 +43,9 @@ from .verify import SUITE_NAMES, run_suites
 __all__ = ["main", "run"]
 
 
-def _triangle(n_max: int, row) -> dict:
-    rows = [list(row(n)) for n in range(n_max + 1)]
-    return {"kind": "triangle", "rows": rows}
-
-
-def _sequence(n_max: int, entry) -> dict:
-    return {"kind": "sequence", "values": [entry(n) for n in range(n_max + 1)]}
+def _total(n: int, r: int) -> int:
+    """The row total at n: the recurrence's last value, keeping none before it."""
+    return deque(_row_totals(n, r), maxlen=1).pop()
 
 
 # Each command's families: family -> (required flags, further flags accepted,
@@ -58,16 +54,18 @@ def _sequence(n_max: int, entry) -> dict:
 # The lambdas look up the library functions by name when called, so a wrapper
 # put on a module-level name (tracing, a test's substitute) still applies.
 _FOR_TABLE = {
-    "lah": ((), (), lambda a: _triangle(a.n_max, lambda n: _rlah_walk(n, 0))),
-    "rlah": (("r",), (), lambda a: _triangle(a.n_max, lambda n: _rlah_walk(n, a.r))),
-    "lah-bell": ((), (), lambda a: _sequence(a.n_max, lah_bell_number)),
-    "r-lah-bell": (("r",), (), lambda a: _sequence(a.n_max, lambda n: r_lah_bell_number(n, a.r))),
+    "lah": ((), (), lambda a: {"kind": "triangle", "rows": list(_rows(a.n_max, 0))}),
+    "rlah": (("r",), (), lambda a: {"kind": "triangle", "rows": list(_rows(a.n_max, a.r))}),
+    "lah-bell": ((), (), lambda a: {"kind": "sequence", "values": list(_row_totals(a.n_max, 0))}),
+    "r-lah-bell": (
+        ("r",), (), lambda a: {"kind": "sequence", "values": list(_row_totals(a.n_max, a.r))}
+    ),
 }
 _FOR_VALUE = {
     "lah": (("k",), (), lambda a: lah(a.n, a.k)),
     "rlah": (("k", "r"), (), lambda a: rlah(a.n, a.k, a.r)),
-    "lah-bell": ((), (), lambda a: lah_bell_number(a.n)),
-    "r-lah-bell": (("r",), (), lambda a: r_lah_bell_number(a.n, a.r)),
+    "lah-bell": ((), (), lambda a: _total(a.n, 0)),
+    "r-lah-bell": (("r",), (), lambda a: _total(a.n, a.r)),
     "lah-bell-poly": (("r", "x"), (), lambda a: lah_bell_polynomial(a.n, a.r, a.x).as_int()),
 }
 # poly entries carry, before the computation, the symbolic family names that
@@ -257,15 +255,15 @@ def _render_text(record: dict) -> str:
 
 def _render_csv(record: dict) -> str:
     if record["kind"] == "triangle":
-        lines = ["n,k,value"]
-        for n, row in enumerate(record["rows"]):
-            for k, value in enumerate(row):
-                lines.append(f"{n},{k},{value}")
+        lines = ["n,k,value\n"]
+        lines.extend(
+            "".join([f"{n},{k},{value}\n" for k, value in enumerate(row)])
+            for n, row in enumerate(record["rows"])
+        )
     else:
-        lines = ["n,value"]
-        for n, value in enumerate(record["values"]):
-            lines.append(f"{n},{value}")
-    return "".join(line + "\n" for line in lines)
+        lines = ["n,value\n"]
+        lines.extend(f"{n},{value}\n" for n, value in enumerate(record["values"]))
+    return "".join(lines)
 
 
 def _json_entry(code: int, e: int) -> str:
@@ -290,23 +288,39 @@ def _json_terms(poly: SparsePolynomial) -> str:
     return "[\n" + ",\n".join(out) + "\n  ]"
 
 
+def _spliced(head: str, parts: list[str], sep: str, tail: str) -> str:
+    """head + sep.join(parts) + tail in one join: head and tail are glued onto
+    the end parts, so the joined text is never copied again.  parts must not
+    be empty, and it is changed in place."""
+    parts[0] = head + parts[0]
+    parts[-1] += tail
+    return sep.join(parts)
+
+
 def _render_json(record: dict) -> str:
     kind = record["kind"]
     payload: dict = {"kind": kind, "query": record["query"]}
-    if kind == "triangle":
-        payload["rows"] = [[str(v) for v in row] for row in record["rows"]]
-    elif kind == "sequence":
-        payload["values"] = [str(v) for v in record["values"]]
-    elif kind == "number":
+    if kind == "number":
         payload["value"] = str(record["value"])
-    elif kind == "polynomial":
-        # json.dumps still writes kind and query, escaping any user text; the
-        # terms go in before its closing brace, written as it would write them.
-        head = json.dumps(payload, indent=2)
-        return head[:-2] + ',\n  "terms": ' + _json_terms(record["poly"]) + "\n}\n"
-    else:
+    elif kind == "verdict":
         payload["results"] = [dataclasses.asdict(item) for item in record["results"]]
         payload["all_passed"] = all(item.passed for item in record["results"])
+    else:
+        # json.dumps still writes kind and query, escaping any user text; the
+        # rest goes in before its closing brace, written as it would write it.
+        # A table has at least one row and a row at least one entry, and a
+        # decimal string needs no escaping.
+        head = json.dumps(payload, indent=2)[:-2]
+        if kind == "polynomial":
+            return head + ',\n  "terms": ' + _json_terms(record["poly"]) + "\n}\n"
+        if kind == "triangle":
+            rows = ['",\n      "'.join(map(str, row)) for row in record["rows"]]
+            return _spliced(
+                head + ',\n  "rows": [\n    [\n      "', rows,
+                '"\n    ],\n    [\n      "', '"\n    ]\n  ]\n}\n',
+            )
+        values = list(map(str, record["values"]))
+        return _spliced(head + ',\n  "values": [\n    "', values, '",\n    "', '"\n  ]\n}\n')
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -9,8 +9,16 @@ falling product, and lah and lah_bell_number are its r = 0 cases.
 A whole row of the triangle comes from one closed-form entry and the
 neighbour ratio rlah(n, k+1, r) = rlah(n, k, r) * (n-k) / ((k+1)(k+2r)),
 one big-int product and one exact division per entry (_rlah_walk).  The row
-totals and the callers that read a whole row use that walk; lah and rlah
+totals lah_bell_number and r_lah_bell_number sum that walk; lah and rlah
 keep the direct formula for single entries.
+
+The CLI's tables read every row or every total up to a bound, so they build
+each from the one before instead: _rows by the triangle recurrence
+rlah(n+1, k, r) = rlah(n, k-1, r) + (n+k+2r) * rlah(n, k, r), with no
+division, and _row_totals by the three-term recurrence of the row totals,
+O(n) big-int steps for a table where the walk takes O(n^2).  The library
+functions keep the walk, which the verifier compares against the witness
+sums and the series; the tests check both recurrences against the walk.
 
 _check_nonnegative_int is the package's one rule for a count argument (an n,
 k, r, rho, order, exponent or index): a bool or any other non-int raises
@@ -31,6 +39,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import count
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -178,3 +187,34 @@ def r_lah_bell_number(n: int, r: int) -> int:
     """Row total of the r-extended triangle: sum of rlah(n, k, r) over k."""
     _check_nonnegative_int(n=n, r=r)
     return sum(_rlah_walk(n, r))
+
+
+def _rows(n_max: int, r: int) -> Iterator[list[int]]:
+    """The rows [rlah(n, k, r) for k = 0..n] for n = 0..n_max, each a new list.
+
+    Row n+1 comes from row n by rlah(n+1, k, r) = rlah(n, k-1, r)
+    + (n+k+2r) * rlah(n, k, r), one small product and one add per entry,
+    reading rlah(n, -1, r) and rlah(n, n+1, r) as 0.
+    """
+    _check_nonnegative_int(n_max=n_max, r=r)
+    row = [1]
+    yield row
+    for n in range(n_max):
+        row = [left + c * right for c, left, right in zip(count(n + 2 * r), [0, *row], [*row, 0])]
+        yield row
+
+
+def _row_totals(n_max: int, r: int) -> Iterator[int]:
+    """r_lah_bell_number(n, r) for n = 0..n_max, from the three-term recurrence.
+
+    a(n+1) = (2n+2r+1) * a(n) - n(n+2r-1) * a(n-1) with a(0) = 1; at n = 0
+    the second term vanishes, which gives a(1) = 1 + 2r.  The recurrence
+    follows from (1-t)^2 E' = (1 + 2r(1-t)) E for the row generating
+    function E = exp(t/(1-t)) / (1-t)^(2r).
+    """
+    _check_nonnegative_int(n_max=n_max, r=r)
+    previous, total = 0, 1
+    yield total
+    for n in range(n_max):
+        previous, total = total, (2 * n + 2 * r + 1) * total - n * (n + 2 * r - 1) * previous
+        yield total

@@ -103,6 +103,16 @@ GOLDEN_CASES = [
         "poly_incomplete_r_lah_bell_n3_k1_r1_mixed_signs.json",
     ),
     (["poly", "complete-bell", "--n", "11"], "poly_complete_bell_n11.txt"),
+    # one row that is both the first and the last; r > 1 triangles and totals
+    (["table", "lah", "--n-max", "0", "--format", "json"], "table_lah_nmax0.json"),
+    (["table", "lah-bell", "--n-max", "0", "--format", "json"], "table_lah_bell_nmax0.json"),
+    (["table", "rlah", "--n-max", "4", "--r", "2", "--format", "csv"], "table_rlah_r2_nmax4.csv"),
+    (["table", "rlah", "--n-max", "3", "--r", "2", "--format", "json"], "table_rlah_r2_nmax3.json"),
+    (
+        ["table", "r-lah-bell", "--n-max", "5", "--r", "2", "--format", "csv"],
+        "table_r_lah_bell_r2_nmax5.csv",
+    ),
+    (["value", "r-lah-bell", "--n", "6", "--r", "3"], "value_r_lah_bell_n6_r3.txt"),
     (["verify", "--suite", "all"], "verify_all.txt"),
     (["verify", "--suite", "all", "--format", "json"], "verify_all.json"),
 ]
@@ -238,6 +248,49 @@ def test_polynomial_renderings_match_the_reference(poly, query):
     assert cli._render_text(record) == _reference_text(poly) + "\n"
     want = json.dumps({"kind": "polynomial", "query": query, **poly.to_json_obj()}, indent=2)
     assert cli._render_json(record) == want + "\n"
+
+
+def _reference_csv(record):
+    """The CSV layout written one entry per line."""
+    if record["kind"] == "triangle":
+        lines = ["n,k,value"] + [
+            f"{n},{k},{value}" for n, row in enumerate(record["rows"]) for k, value in enumerate(row)
+        ]
+    else:
+        lines = ["n,value"] + [f"{n},{value}" for n, value in enumerate(record["values"])]
+    return "".join(line + "\n" for line in lines)
+
+
+# zero, negatives, and ints of hundreds of digits; a table is never empty
+_table_ints = st.one_of(st.integers(-3, 3), st.integers(-(10**400), 10**400))
+_table_records = st.one_of(
+    st.builds(
+        lambda rows, query: {"kind": "triangle", "query": query, "rows": rows},
+        st.lists(st.lists(_table_ints, min_size=1, max_size=6), min_size=1, max_size=5),
+        _queries,
+    ),
+    st.builds(
+        lambda values, query: {"kind": "sequence", "query": query, "values": values},
+        st.lists(_table_ints, min_size=1, max_size=8),
+        _queries,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_records)
+@example({"kind": "triangle", "query": {"family": "lah", "n_max": 0}, "rows": [[1]]})
+@example({"kind": "sequence", "query": {"family": "lah-bell", "n_max": 0}, "values": [1]})
+@example({"kind": "triangle", "query": {"\"qé\n": "\\"}, "rows": [[0, -1], [-(10**300)]]})
+@example({"kind": "sequence", "query": {"ré": "\"\\☃"}, "values": [0, -7, 10**300]})
+def test_table_renderings_match_the_reference(record):
+    if record["kind"] == "triangle":
+        shown = {"rows": [[str(v) for v in row] for row in record["rows"]]}
+    else:
+        shown = {"values": [str(v) for v in record["values"]]}
+    payload = {"kind": record["kind"], "query": record["query"], **shown}
+    assert cli._render_json(record) == json.dumps(payload, indent=2) + "\n"
+    assert cli._render_csv(record) == _reference_csv(record)
 
 
 def test_csv_sequence_layout(capsys):

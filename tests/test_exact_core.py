@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 from lahbell.exact_core import (
     IntegralityError,
     _rlah_walk,
+    _row_totals,
+    _rows,
     binomial,
     exact_div,
     factorial,
@@ -225,3 +227,26 @@ def test_walked_rows_equal_the_closed_form():
     for r in range(5):
         for n in range(80):
             assert list(_rlah_walk(n, r)) == [rlah(n, k, r) for k in range(n + 1)], (n, r)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_recurrence_totals_equal_the_walked_totals(r):
+    for n_max in (0, 1, 2, 300):
+        want = [r_lah_bell_number(n, r) for n in range(n_max + 1)]
+        assert list(_row_totals(n_max, r)) == want, (n_max, r)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_recurrence_rows_equal_the_walked_rows(r):
+    for n_max in (0, 1, 2, 80):
+        assert list(_rows(n_max, r)) == [list(_rlah_walk(n, r)) for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("table", [_rows, _row_totals])
+@pytest.mark.parametrize(
+    "args,error",
+    [((-1, 0), ValueError), ((3, -1), ValueError), ((True, 0), TypeError), ((3, False), TypeError)],
+)
+def test_recurrence_tables_refuse_bad_arguments(table, args, error):
+    with pytest.raises(error):
+        list(table(*args))
