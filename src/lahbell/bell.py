@@ -9,8 +9,8 @@ Two sum shapes appear throughout.  The plain shape runs over block-size
 multiplicity vectors (j_i) with sum(i*j_i) = n; the extended shape runs over
 paired vectors from enumerate_lambda, splitting weight between ordinary
 blocks and a fixed number of distinguished ones.  Every term coefficient is
-an integer quotient of factorials, taken with exact_div, so a term that is
-ever not whole raises IntegralityError.
+an integer quotient of factorials, taken exactly, as exact_div takes it, so
+a term that is ever not whole raises IntegralityError.
 
 The six witness-sum constructors share one term loop, _witness_sum.  It
 reads a plain witness as a paired one with an empty r-part, so every
@@ -19,18 +19,22 @@ coefficient rule: with or without the (i!)^v block weights.  The loop reads
 its witnesses as runs (k_part, r_parts) of witnesses that share a k-part,
 and keeps, per side, a table of slot terms (i, v) -> (monomial pairs, int
 factor, fill count, coefficient divisor), each read from the spec on first
-use.  It works out the terms of each k-part once per run and of each r-part
-once per call, builds no polynomial per witness, sums int coefficients in a
-dict keyed by the joined monomial pairs and the two fill counts, then
-raises each uniform fill once per distinct count and builds one polynomial
-at the end.
+use, and next to it a table of whole-part sides, part -> the same four
+fields for the part.  It builds no polynomial per witness: it joins the
+two sides' pairs by one tuple concatenation (or, for two specs of one
+symbolic family, one merge), takes the coefficient by one divmod, sums int
+coefficients in a dict keyed by the joined pairs and the two fill counts,
+then raises each uniform fill once per distinct count and builds one
+polynomial at the end.
 
-Outside a reuse scope (exact_core._reuse) the witness runs are read lazily
-and the slot tables are built for the call and dropped when it returns.
-Inside one, which the verifier opens once per run, the first call keeps
-its witness stream under (enumerator, n, k, rho) and its slot tables under
-(spec, shift, block weights), and later calls read them.  Only these inputs
-are kept, never a constructor's result.
+Outside a reuse scope (exact_core._reuse) the witness runs are read lazily,
+the side of each k-part is worked out once per run and that of each r-part
+once per call, and the tables are built for the call and dropped when it
+returns.  Inside one, which the verifier opens once per run, the first call
+keeps its witness stream under (enumerator, n, k, rho) and its tables under
+(spec, shift, block weights), and later calls read them, so each side is
+worked out once per scope.  Only these inputs are kept, never a
+constructor's result.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -50,7 +54,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact_core import (
-    _MEMO, _check_nonnegative_int, _rlah_walk, exact_div, factorial, factorials_upto,
+    _MEMO,
+    IntegralityError,
+    _check_nonnegative_int,
+    _rlah_walk,
+    exact_div,
+    factorial,
+    factorials_upto,
 )
 from .partitions import enumerate_lambda, enumerate_pi
 from .poly import (
@@ -191,17 +201,21 @@ class _Factors(dict):
     explicit sequence fails at the first index the sum needs, and a slot
     that fails is not kept.
 
-    shift is 0 for the k-part and for plain witnesses, and 1 for the
-    r-part, whose slot i carries b_{i+1}.  An entry depends on nothing but
-    the spec, shift, block weights and its key, so one table serves calls of
-    any n: a table lives for one constructor call, or for a whole reuse
-    scope.
+    shift is 0 for the k-part and for plain witnesses, whose slots start at
+    i = 1, and 1 for the r-part, whose slots start at i = 0 and whose slot i
+    carries b_{i+1}.  An entry depends on nothing but the spec, shift, block
+    weights and its key, so one table serves calls of any n: a table lives
+    for one constructor call, or for a whole reuse scope.  The same holds
+    for side(), the four fields of a whole part, so the _Sides table that
+    keeps sides lives next to its slot table: in a scope it keeps every
+    side, and outside one the witness sum keeps only r-part sides there.
     """
 
     def __init__(self, spec: SequenceSpec, shift: int, block_weights: bool) -> None:
         super().__init__()
         self._spec = spec
         self._shift = shift
+        self._first = 1 - shift
         self._block_weights = block_weights
         # slot i of a symbolic spec is the variable with code code0 + i
         self._code0 = _first_code(spec.family) - 1 + shift if spec.kind == "symbolic" else 0
@@ -231,11 +245,11 @@ class _Factors(dict):
             power = self._fill_powers[count] = self._spec.fill ** count
         return power
 
-    def side(self, part: Sequence[int], first: int) -> tuple[tuple, int, int, int]:
-        """(pairs, factor, count, weight) of a whole part whose slot index starts at first."""
+    def side(self, part: Sequence[int]) -> tuple[tuple, int, int, int]:
+        """(pairs, factor, count, weight) of a whole part, its slots read from this table."""
         pairs: tuple = ()
         factor, count, weight = 1, 0, 1
-        for i, v in enumerate(part, first):
+        for i, v in enumerate(part, self._first):
             if v:
                 p, f, c, w = self[i, v]
                 pairs += p
@@ -243,6 +257,24 @@ class _Factors(dict):
                 count += c
                 weight *= w
         return pairs, factor, count, weight
+
+
+class _Sides(dict):
+    """part -> slots.side(part), worked out on the part's first use.
+
+    It lives as long as its slot table: for one constructor call, or for a
+    whole reuse scope.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: _Factors) -> None:
+        super().__init__()
+        self.slots = slots
+
+    def __missing__(self, part: tuple[int, ...]) -> tuple[tuple, int, int, int]:
+        side = self[part] = self.slots.side(part)
+        return side
 
 
 _Run = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
@@ -279,15 +311,13 @@ def _witness_runs(
 
     A kept stream is two tuples, its k-parts and the r_parts of each run,
     and equal k-parts and equal r_parts tuples are shared by all the streams
-    kept in the scope, so a kept stream holds few objects of its own.  In a
-    scope the arguments are checked before the lookup, as the enumerator
-    checks them, because a bool hashes like the int it equals and would
-    find that int's stream.
+    kept in the scope, so a kept stream holds few objects of its own.  The
+    caller checks the arguments before the lookup, because a bool hashes
+    like the int it equals and would find that int's stream.
     """
     paired = len(args) == 3
     if kept is None:
         return _runs(enumerator(*args), paired)
-    _check_nonnegative_int(**dict(zip(("n", "k", "rho"), args)))
     key = ("witnesses", enumerator, *args)
     stream = kept.get(key)
     if stream is None:
@@ -302,12 +332,17 @@ def _witness_runs(
     return zip(*stream)
 
 
-def _slots(memo: dict, spec: SequenceSpec, shift: int, block_weights: bool) -> _Factors:
+def _sides(memo: dict, spec: SequenceSpec, shift: int, block_weights: bool) -> _Sides:
     key = ("slots", spec, shift, block_weights)
-    table = memo.get(key)
-    if table is None:
-        table = memo[key] = _Factors(spec, shift, block_weights)
-    return table
+    sides = memo.get(key)
+    if sides is None:
+        sides = memo[key] = _Sides(_Factors(spec, shift, block_weights))
+    return sides
+
+
+def _after(p: tuple, q: tuple) -> tuple:
+    """Join two code-sorted pair tuples whose codes all sort q before p."""
+    return q + p
 
 
 def _witness_sum(
@@ -324,34 +359,46 @@ def _witness_sum(
     m_i = k_i + r_i of an n-set, so prod (i!)^m_i * m_i! divides n!, k_i!
     divides m_i!, and prod r_i! divides rho!.
 
-    No polynomial is built per witness.  Each witness joins the slot terms
-    of its k-part, worked out once per run, and of its r-part, worked out
-    once per call, into one monomial key, and adds an int coefficient under
-    (pairs, a fill count, b fill count).  At the end the keys are grouped by
+    No polynomial is built per witness.  Each witness joins the sides of
+    its k-part and of its r-part into one monomial key, and adds an int
+    coefficient under (pairs, a fill count, b fill count).  Inside a reuse
+    scope every side comes from the scope's side tables, so it is worked
+    out once per scope; outside one the side of a k-part is worked out once
+    per run, and that of an r-part once per call.  How the pairs join is
+    fixed once per call: a numeric or uniform side has no pairs, and two
+    symbolic families concatenate in code order, so only two specs of one
+    family, on paired witnesses, merge.  At the end the keys are grouped by
     their fill counts, each group's pairs-keyed dict becomes a polynomial as
     it is, each fill is raised once per distinct count, and the groups are
     summed.
     """
-    n = args[0]
-    rho = args[2] if len(args) == 3 else 0
-    _check_nonnegative_int(n=n, rho=rho)
+    n, k, rho = (*args, 0, 0)[:3]
+    _check_nonnegative_int(n=n, rho=rho, k=k)
     kept = _MEMO.get()
     runs = _witness_runs(kept, enumerator, args)
     memo = {} if kept is None else kept  # outside a scope nothing outlives the call
-    a_factors = _slots(memo, a, 0, block_weights)
-    b_factors = _slots(memo, b, 1, block_weights)
+    k_sides = _sides(memo, a, 0, block_weights)
+    r_sides = _sides(memo, b, 1, block_weights)
+    # outside a scope a plain witness meets each k-part once, so a table of
+    # k sides would cost more than it saves
+    k_side = k_sides.slots.side if kept is None else k_sides.__getitem__
+    join = None  # None: k pairs then r pairs, one concatenation
+    if len(args) == 3 and a.kind == b.kind == "symbolic":
+        if a.family == b.family:
+            join = _merge
+        elif _first_code(a.family) > _first_code(b.family):
+            join = _after
     num = math.factorial(n) * math.factorial(rho)
-    r_sides: dict[tuple[int, ...], tuple[tuple, int, int, int]] = {}
     terms: dict[tuple[tuple, int, int], int] = {}
     for k_part, r_parts in runs:
-        k_pairs, k_factor, a_count, k_weight = a_factors.side(k_part, 1)
+        k_pairs, k_factor, a_count, k_weight = k_side(k_part)
         for r_part in r_parts:
-            r_side = r_sides.get(r_part)
-            if r_side is None:
-                r_side = r_sides[r_part] = b_factors.side(r_part, 0)
-            r_pairs, r_factor, b_count, r_weight = r_side
-            key = (_merge(k_pairs, r_pairs), a_count, b_count)
-            coeff = exact_div(num, k_weight * r_weight) * k_factor * r_factor
+            r_pairs, r_factor, b_count, r_weight = r_sides[r_part]
+            key = (k_pairs + r_pairs if join is None else join(k_pairs, r_pairs), a_count, b_count)
+            coeff, rem = divmod(num, k_weight * r_weight)
+            if rem:
+                raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
+            coeff *= k_factor * r_factor
             terms[key] = terms.get(key, 0) + coeff
     by_counts: dict[tuple[int, int], dict[tuple, int]] = {}
     for (pairs, a_count, b_count), coeff in terms.items():
@@ -365,9 +412,9 @@ def _witness_sum(
     for (a_count, b_count), data in by_counts.items():
         part = SparsePolynomial._raw(data)
         if a_count:
-            part = part * a_factors.fill_power(a_count)
+            part = part * k_sides.slots.fill_power(a_count)
         if b_count:
-            part = part * b_factors.fill_power(b_count)
+            part = part * r_sides.slots.fill_power(b_count)
         acc.add(part)
     return acc.build()
 

@@ -7,8 +7,10 @@ families.  Numeric spot values are frozen from those oracles.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,7 @@ from lahbell.bell import (
 )
 from lahbell.exact_core import (
     _MEMO,
+    IntegralityError,
     _reuse,
     binomial,
     factorial,
@@ -55,6 +58,7 @@ from lahbell.poly import (
 X = SequenceSpec.symbolic("x")
 A = SequenceSpec.symbolic("a")
 B = SequenceSpec.symbolic("b")
+Y = SequenceSpec.symbolic("y")
 
 
 def oracle_incomplete_bell(n, k, xs):
@@ -630,3 +634,77 @@ def test_a_scope_checks_counts_before_reading_a_kept_stream():
             incomplete_r_bell(3, True, 1, A, B)
         with pytest.raises(TypeError, match="^rho must be an int, got bool"):
             incomplete_r_bell(3, 1, True, A, B)
+
+
+def test_a_coefficient_that_is_not_whole_is_refused(monkeypatch):
+    """A slot weight made wrong on purpose, 2! read as 8, leaves 3!/8 behind
+    in a term's coefficient, which the witness sum must refuse, not floor."""
+    real = math.factorial
+    monkeypatch.setattr(
+        bell, "math", SimpleNamespace(factorial=lambda m: real(m) * 4 if m == 2 else real(m))
+    )
+    calls = (
+        lambda: incomplete_bell(3, 2, X),
+        lambda: complete_bell(3, ONES),
+        lambda: incomplete_r_bell(3, 1, 1, A, B),
+    )
+    for call in calls:
+        with pytest.raises(IntegralityError, match="^6 is not divisible by 8$"):
+            call()
+        with _reuse():
+            with pytest.raises(IntegralityError, match="^6 is not divisible by 8$"):
+                call()
+
+
+def _mapped(p, **images):
+    """p with every a_i, b_i sent to images["a"](i), images["b"](i), for i <= 8."""
+    return p.substitute_all(
+        {Variable(family, i): image(i) for family, image in images.items() for i in range(1, 9)}
+    )
+
+
+# (constructor of (n, k, r, a, b), a, b, images of a_i and b_i): the value at
+# (a, b) must be the value at (A, B) under the images, which substitute_all
+# multiplies out term by term, with no witness sum's join.
+_JOINS = [
+    pytest.param(
+        lambda n, k, r, a, b: incomplete_r_bell(n, k, 2 * r, a, b), X, X,
+        {"a": lambda i: var(f"x{i}"), "b": lambda i: var(f"x{i}")}, id="same-family",
+    ),
+    pytest.param(
+        incomplete_r_lah_bell, X, X,
+        {"a": lambda i: var(f"x{i}"), "b": lambda i: var(f"x{i}")}, id="same-family-lah",
+    ),
+    pytest.param(
+        incomplete_r_lah_bell, Y, X,
+        {"a": lambda i: var(f"y{i}"), "b": lambda i: var(f"x{i}")}, id="reversed-ranks",
+    ),
+    pytest.param(
+        lambda n, k, r, a, b: incomplete_r_bell(n, k, 2 * r, a, b), B, A,
+        {"a": lambda i: var(f"b{i}"), "b": lambda i: var(f"a{i}")}, id="reversed-ranks-bell",
+    ),
+    pytest.param(
+        incomplete_r_lah_bell, FACTORIALS, X,
+        {"a": lambda i: factorial(i), "b": lambda i: var(f"x{i}")}, id="numeric-k-side",
+    ),
+    pytest.param(
+        lambda n, k, r, a, b: incomplete_r_bell(n, k, 2 * r, a, b),
+        Y, SequenceSpec.uniform(var("x1") + 1),
+        {"a": lambda i: var(f"y{i}"), "b": lambda i: var("x1") + 1}, id="uniform-r-side",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, a, b, images", _JOINS)
+def test_witness_sums_join_the_two_sides_in_code_order(build, a, b, images):
+    for n in range(8):
+        for k in range(n + 1):
+            for r in range(2):
+                want = _mapped(build(n, k, r, A, B), **images)
+                got = build(n, k, r, a, b)
+                with _reuse():
+                    scoped = [build(n, k, r, a, b) for _ in range(2)]
+                assert got == want and scoped == [want, want], (n, k, r)
+                for pairs in got._terms:
+                    codes = [code for code, _ in pairs]
+                    assert codes == sorted(set(codes)), (n, k, r, pairs)

@@ -340,6 +340,34 @@ def test_a_verify_run_enumerates_each_witness_stream_once(monkeypatch):
     assert calls == Counter({("enumerate_pi", (6, 3)): 2, ("enumerate_lambda", (6, 3, 2)): 2})
 
 
+def test_a_verify_run_works_out_each_side_once(monkeypatch):
+    """Each (slot table, part) side is worked out once per run, and no
+    witness sum of a run merges pairs: its specs are distinct families."""
+    sides, merges = Counter(), Counter()
+    side, merge = bell._Factors.side, bell._merge
+
+    def counted_side(self, part):
+        sides[self._spec, self._shift, self._block_weights, part] += 1
+        return side(self, part)
+
+    def counted_merge(p, q):
+        merges[p, q] += 1
+        return merge(p, q)
+
+    monkeypatch.setattr(bell._Factors, "side", counted_side)
+    monkeypatch.setattr(bell, "_merge", counted_merge)
+    assert all(item.passed for item in run_suites("all", 8, 2))
+    assert sides and set(sides.values()) == {1}
+    assert merges == Counter()
+    # outside a scope each constructor call works out its sides afresh
+    sides.clear()
+    a, b = SequenceSpec.symbolic("a"), SequenceSpec.symbolic("b")
+    for _ in range(2):
+        incomplete_bell(6, 3, a)
+        incomplete_r_lah_bell(6, 3, 1, a, b)
+    assert sides and set(sides.values()) == {2}
+
+
 def test_the_reuse_scope_spans_a_run_and_closes_after_it(monkeypatch):
     seen = []
     oracle = verify._SUITES["series-oracle"]
