@@ -510,9 +510,15 @@ def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> Spar
     """Row polynomial of the r-extended triangle: sum of rlah(n, k, r) * x^k.
 
     Computed from the closed-form numbers, walked along the row, independently
-    of the witness sums, so it can serve as an oracle for them.
+    of the witness sums, so it can serve as an oracle for them.  An int x
+    (not a bool) is evaluated by Horner's rule over the row in ints.
     """
     _check_nonnegative_int(n=n, r=r)
+    if isinstance(x, int) and not isinstance(x, bool):
+        value = 0
+        for entry in reversed(list(_rlah_walk(n, r))):
+            value = value * x + entry
+        return const(value)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE

@@ -17,6 +17,13 @@ exponential generating functions stays inside exact integer arithmetic:
 All values are immutable; operations return new series truncated to the
 smaller operand order.
 
+A lattice product, series exponential or head step whose operands are all
+constants (every entry the zero polynomial or a lone constant term) runs on
+plain ints: each entry is one C-level sum over a binomial row, stepped by
+Pascal's rule, and the results are wrapped back as constant polynomials.
+The choice is made once per operation from its operands, so one symbolic
+entry sends the whole operation through the polynomial convolution.
+
 A grid of gf_expand calls, such as the one the verifier sweeps, can share
 its factors: inside the package's reuse scope (exact_core._reuse, which
 the verifier opens once per run) gf_expand keeps every head and tail it
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add, mul
 from typing import Sequence, Union
 
 from .bell import FACTORIALS, ONES, SequenceSpec, complete_bell
@@ -87,6 +95,10 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
+        left = _constants(self.coeffs[: n + 1])
+        right = None if left is None else _constants(other.coeffs[: n + 1])
+        if right is not None:
+            return TruncatedSeries(n, _constant_polys(_int_lattice(left, right)))
         return TruncatedSeries(
             n, tuple(_convolve(self.coeffs, other.coeffs, m) for m in range(n + 1))
         )
@@ -138,6 +150,55 @@ def _convolve(
     return acc.build()
 
 
+def _constants(coeffs: Sequence[SparsePolynomial]) -> list[int] | None:
+    """The entries' values when every one is constant, the zero polynomial
+    counting as 0; None as soon as one entry holds a variable."""
+    values = []
+    for c in coeffs:
+        terms = c._terms
+        if not terms:
+            values.append(0)
+        elif len(terms) == 1 and () in terms:
+            values.append(terms[()])
+        else:
+            return None
+    return values
+
+
+def _constant_polys(values: list[int]) -> tuple[SparsePolynomial, ...]:
+    """Each value as a constant polynomial, 0 as the shared ZERO."""
+    return tuple(SparsePolynomial._raw({(): v}) if v else ZERO for v in values)
+
+
+def _int_lattice(left: list[int], right: list[int]) -> list[int]:
+    """Entries n < len(left) of a lattice product of int sequences.
+
+    Entry n is sum_(i=0..n) C(n, i) * left[i] * right[n-i], one C-level sum
+    over binomial row n; row n+1 follows from row n by Pascal's rule.  right
+    needs at least len(left) entries.
+    """
+    out = []
+    row = [1]
+    for n in range(len(left)):
+        out.append(sum(map(mul, map(mul, row, left), reversed(right[: n + 1]))))
+        row = [1, *map(add, row, row[1:]), 1]
+    return out
+
+
+def _int_exp(shifted: list[int]) -> list[int]:
+    """Lattice entries 0..len(shifted) of exp(s), where shifted = s_1, s_2, ...
+
+    e_0 = 1 and e_(n+1) = sum_(i=0..n) C(n, i) * s_(i+1) * e_(n-i), each
+    a C-level sum over binomial row n, stepped by Pascal's rule.
+    """
+    e = [1]
+    row = [1]
+    for _ in range(len(shifted)):
+        e.append(sum(map(mul, map(mul, row, shifted), reversed(e))))
+        row = [1, *map(add, row, row[1:]), 1]
+    return e
+
+
 def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries(order, (ZERO,) * (order + 1))
 
@@ -179,11 +240,15 @@ def exp(s: TruncatedSeries) -> TruncatedSeries:
     so the lattice entries obey e_0 = 1 and
       e_(n+1) = sum_(i=0..n) C(n, i) * s_(i+1) * e_(n-i),
     which needs no power of s and no division: O(order^2) coefficient
-    products instead of O(order) series products.
+    products instead of O(order) series products.  A constant s runs the
+    recurrence on ints (_int_exp).
     """
     if not s.coeffs[0].is_zero:
         raise ValueError("series exponential requires a zero constant term")
     shifted = s.coeffs[1:]
+    values = _constants(shifted)
+    if values is not None:
+        return TruncatedSeries(s.order, _constant_polys(_int_exp(values)))
     e = [ONE]
     for n in range(s.order):
         e.append(_convolve(shifted, e, n))
@@ -198,8 +263,13 @@ def _head_step(base: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
     Combinatorics, 3.3) p_0 = 0 and
       p_(n+1) = sum_(i=0..n) C(n, i) * a_(i+1) * q_(n-i),
     which costs what one series product costs and needs no division by k!.
+    Constant operands run it on ints (_int_lattice).
     """
     shifted = base.coeffs[1:]
+    left = _constants(shifted)
+    right = None if left is None else _constants(prev.coeffs)
+    if right is not None:
+        return TruncatedSeries(base.order, (ZERO,) + _constant_polys(_int_lattice(left, right)))
     return TruncatedSeries(
         base.order,
         (ZERO,) + tuple(_convolve(shifted, prev.coeffs, n) for n in range(base.order)),

@@ -392,6 +392,21 @@ def test_lah_bell_polynomial_values():
         )
 
 
+def test_lah_bell_polynomial_at_an_int_is_the_row_polynomial_evaluated():
+    """An int x takes Horner's rule in ints; the symbolic row polynomial,
+    evaluated at the same x, is the other side."""
+    x = var(SCALAR_X)
+    for r in range(4):
+        for n in range(31):
+            row = lah_bell_polynomial(n, r, x)
+            for value in range(-3, 4):
+                got = lah_bell_polynomial(n, r, value)
+                assert got == const(row.evaluate({SCALAR_X: value})), (n, r, value)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            lah_bell_polynomial(3, 1, flag)
+
+
 def test_expansion_known_forms():
     Y = SequenceSpec.symbolic("y")
     assert str(complete_r_lah_bell_expansion(1, 1, X, Y)) == "x1*y1^2 + 2*y1*y2"

@@ -11,12 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lahbell.bell import FACTORIALS, ONES, SequenceSpec, complete_bell, incomplete_r_bell
 from lahbell.exact_core import IntegralityError, factorial, lah, lah_bell_number, rlah
 from lahbell import series
-from lahbell.poly import const, var
+from lahbell.poly import ONE, ZERO, const, var
 from lahbell.series import (
     GF_FAMILIES,
     TruncatedSeries,
@@ -37,17 +37,28 @@ def _ints(seq, order):
     return series
 
 
-def oracle_product(u, v):
-    order = min(u.order, v.order)
-    true_u = [Fraction(u.coeffs[i].as_int(), factorial(i)) for i in range(u.order + 1)]
-    true_v = [Fraction(v.coeffs[i].as_int(), factorial(i)) for i in range(v.order + 1)]
+def _true(series):
+    """The Fraction-valued true coefficients [t^n] of an int-entry series."""
+    return [Fraction(c.as_int(), factorial(n)) for n, c in enumerate(series.coeffs)]
+
+
+def _cauchy(u, v):
+    """Cauchy product of two true-coefficient lists, to the shorter length."""
+    return [sum(u[i] * v[m - i] for i in range(m + 1)) for m in range(min(len(u), len(v)))]
+
+
+def _from_true(true):
+    """The int series with these true coefficients, each rescaled by n!."""
     out = []
-    for m in range(order + 1):
-        w = sum(true_u[i] * true_v[m - i] for i in range(m + 1))
+    for m, w in enumerate(true):
         scaled = w * factorial(m)
         assert scaled.denominator == 1
         out.append(int(scaled))
-    return _ints(out, order)
+    return _ints(out, len(out) - 1)
+
+
+def oracle_product(u, v):
+    return _from_true(_cauchy(_true(u), _true(v)))
 
 
 def test_constructor_validates():
@@ -178,6 +189,130 @@ def test_head_step_matches_the_divided_power(kind, spec):
             head = _head_step(base, head)
             want = base.pow(k).divide_exact(factorial(k))
             assert head.coeffs == want.coeffs, (order, k)
+
+
+# Int entries as the int kernel meets them: zeros, negatives and ~300-digit
+# values, in series of order 0 up to 6.
+_HUGE = 10**300
+_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-_HUGE, _HUGE))
+_int_lists = st.lists(_entries, min_size=1, max_size=7)
+
+
+@contextlib.contextmanager
+def _refusing(*names):
+    """series.<name> raises for each name while the block runs."""
+
+    def refuse(*args):
+        raise AssertionError("this operation was to take the other path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            patch.setattr(series, name, refuse)
+        yield
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_lists, _int_lists)
+def test_int_product_matches_the_fraction_oracle(raw_u, raw_v):
+    u, v = _ints(raw_u, len(raw_u) - 1), _ints(raw_v, len(raw_v) - 1)
+    with _refusing("_convolve"):
+        got = u * v
+    assert got == oracle_product(u, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_lists, st.integers(min_value=0, max_value=5))
+def test_int_pow_matches_the_fraction_oracle(raw, k):
+    s = _ints(raw, len(raw) - 1)
+    true = [Fraction(1)] + [Fraction(0)] * s.order
+    for _ in range(k):
+        true = _cauchy(true, _true(s))
+    with _refusing("_convolve"):
+        got = s.pow(k)
+    assert got == _from_true(true)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_lists)
+def test_int_exp_matches_the_fraction_oracle(raw):
+    s = _ints([0] + raw[1:], len(raw) - 1)
+    # sum_(k<=order) s^k / k! on true coefficients; s^k vanishes below t^k
+    total = [Fraction(0)] * (s.order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * s.order
+    for k in range(s.order + 1):
+        total = [t + p / factorial(k) for t, p in zip(total, power)]
+        power = _cauchy(power, _true(s))
+    with _refusing("_convolve"):
+        got = exp(s)
+    assert got == _from_true(total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_lists, _int_lists)
+def test_int_head_step_matches_the_fraction_oracle(raw_a, raw_q):
+    order = min(len(raw_a), len(raw_q)) - 1
+    base = _ints([0] + raw_a[1 : order + 1], order)
+    prev = _ints(raw_q[: order + 1], order)
+    # P' = A' Q with P(0) = 0: differentiate A, multiply, integrate
+    true_a = _true(base)
+    slope = [(j + 1) * true_a[j + 1] for j in range(base.order)]
+    true = [Fraction(0)] + [c / (m + 1) for m, c in enumerate(_cauchy(slope, _true(prev)))]
+    with _refusing("_convolve"):
+        got = _head_step(base, prev)
+    assert got == _from_true(true)
+
+
+# Each operation written out over the polynomial convolution, entry by entry:
+# what the polynomial path gives.
+
+
+def _poly_product(u, v):
+    n = min(u.order, v.order)
+    return tuple(series._convolve(u.coeffs, v.coeffs, m) for m in range(n + 1))
+
+
+def _poly_exp(s):
+    e = [ONE]
+    for n in range(s.order):
+        e.append(series._convolve(s.coeffs[1:], e, n))
+    return tuple(e)
+
+
+def _poly_head_step(base, prev):
+    return (ZERO,) + tuple(
+        series._convolve(base.coeffs[1:], prev.coeffs, n) for n in range(base.order)
+    )
+
+
+def test_one_symbolic_entry_selects_the_polynomial_path():
+    x = var("x")
+    constant = from_sequence(_SPECS["explicit"], "ordinary", 0, 6)
+    symbolic = from_sequence(_SPECS["symbolic"], "ordinary", 1, 6)
+    core = from_sequence(ONES, "ordinary", 1, 6)
+    scaled = core.scale(x)
+    # constants throughout but for the last entry
+    last = TruncatedSeries(6, (ZERO, const(2), ZERO, const(-3), const(5), ZERO, x + 1))
+    with _refusing("_int_lattice", "_int_exp"):
+        for u, v in [(constant, symbolic), (symbolic, constant), (scaled, core),
+                     (core, scaled), (last, constant), (constant, last)]:
+            assert (u * v).coeffs == _poly_product(u, v)
+        for s in (scaled, last, symbolic):
+            assert exp(s).coeffs == _poly_exp(s)
+            assert _head_step(s, one(6)).coeffs == _poly_head_step(s, one(6))
+            assert _head_step(core, s).coeffs == _poly_head_step(core, s)
+            square = TruncatedSeries(6, _poly_product(s, s))
+            assert s.pow(3).coeffs == _poly_product(s, square)
+    assert str(exp(scaled).coeffs[2]) == "x^2 + 2*x"
+
+
+def test_the_zero_polynomial_counts_as_the_constant_zero():
+    x = var("x")
+    s = TruncatedSeries(3, (ZERO, x - x, const(2), ZERO))
+    u = TruncatedSeries(3, (const(1), const(3), const(-1), const(4)))
+    with _refusing("_convolve"):
+        assert (s * u).coeffs == (ZERO, ZERO, const(2), const(18))
+        assert exp(s).coeffs == (ONE, ZERO, const(2), ZERO)
+        assert _head_step(s, u).coeffs == (ZERO, ZERO, const(2), const(12))
 
 
 def test_derivative_shifts_lattice():
