@@ -17,15 +17,19 @@ reads a plain witness as a paired one with an empty r-part, so every
 constructor differs only in where its witnesses come from and in the
 coefficient rule: with or without the (i!)^v block weights.  The loop reads
 its witnesses as runs (k_part, r_parts) of witnesses that share a k-part,
-and keeps, per side, a table of slot terms (i, v) -> (monomial pairs, int
-factor, fill count, coefficient divisor), each read from the spec on first
-use, and next to it a table of whole-part sides, part -> the same four
-fields for the part.  It builds no polynomial per witness: it joins the
-two sides' pairs by one tuple concatenation (or, for two specs of one
-symbolic family, one merge), takes the coefficient by one divmod, sums int
-coefficients in a dict keyed by the joined pairs and the two fill counts,
-then raises each uniform fill once per distinct count and builds one
-polynomial at the end.
+from partitions._witness_runs, the run reader it shares with the routes
+lah_via_pi and rlah_via_lambda.  It keeps, per side, a table of slot terms
+(i, v) -> (monomial pairs, int factor, coefficient divisor), each read from
+the spec on first use, and next to it a table of whole-part sides,
+part -> the same three fields for the part.  A side over a uniform spec
+carries its fill count as one pair under a reserved negative code, one per
+side, so every term is keyed by its joined pairs alone.  It builds no
+polynomial per witness: it joins the two sides' pairs by one tuple
+concatenation (or, for two specs of one symbolic family, one merge), takes
+the coefficient by one divmod and sums int coefficients in a dict keyed by
+the joined pairs, which is the result as it stands.  Only a call with a
+uniform spec regroups its keys by their fill pairs and raises each fill
+once per distinct count.
 
 Outside a reuse scope (exact_core._reuse) the witness runs are read lazily,
 the side of each k-part is worked out once per run and that of each r-part
@@ -35,6 +39,9 @@ keeps its witness stream under (enumerator, n, k, rho) and its tables under
 (spec, shift, block weights), and later calls read them, so each side is
 worked out once per scope.  Only these inputs are kept, never a
 constructor's result.
+complete_r_lah_bell adds x^k times each partial polynomial straight into
+its total, scaled by the int x^k when x is a constant and multiplied in
+term by term otherwise, so it builds no product polynomial per k.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -51,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .exact_core import (
     _MEMO,
@@ -62,7 +69,7 @@ from .exact_core import (
     factorial,
     factorials_upto,
 )
-from .partitions import enumerate_lambda, enumerate_pi
+from .partitions import _witness_runs, enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
     ZERO,
@@ -189,24 +196,31 @@ def _first_code(family: str) -> int:
     return Variable(family, 1).code
 
 
+# The reserved code under which a side over a uniform spec carries its fill
+# count, one per side (k-part, r-part) so two fills never add up.  No
+# variable has a negative code, so a fill pair sorts before every variable.
+_FILL_CODES = (-2, -1)
+
+
 class _Factors(dict):
     """(i, v) -> the term of slot i at multiplicity v, filled on first use.
 
-    An entry is (pairs, factor, count, weight): the slot contributes the
-    code-sorted monomial pairs, times the int factor, times the spec's fill
-    raised to count, over weight = v! or v! * (i!)^v.  A symbolic spec gives
-    the one pair (code of its i-th variable, v); ones, factorials and
-    explicit values give the int value**v; a uniform spec gives count v.
-    The first use of a slot still reads spec.at(i + shift), so a too-short
-    explicit sequence fails at the first index the sum needs, and a slot
-    that fails is not kept.
+    An entry is (pairs, factor, weight): the slot contributes the code-sorted
+    monomial pairs, times the int factor, over weight = v! or v! * (i!)^v.
+    A symbolic spec gives the one pair (code of its i-th variable, v); ones,
+    factorials and explicit values give no pairs and the int value**v; a
+    uniform spec gives no pairs, and side() gives the whole part the one
+    pair (fill code, block count), the fill code being the side's reserved
+    negative code in _FILL_CODES.  The first use of a slot still reads
+    spec.at(i + shift), so a too-short explicit sequence fails at the first
+    index the sum needs, and a slot that fails is not kept.
 
     shift is 0 for the k-part and for plain witnesses, whose slots start at
     i = 1, and 1 for the r-part, whose slots start at i = 0 and whose slot i
     carries b_{i+1}.  An entry depends on nothing but the spec, shift, block
     weights and its key, so one table serves calls of any n: a table lives
     for one constructor call, or for a whole reuse scope.  The same holds
-    for side(), the four fields of a whole part, so the _Sides table that
+    for side(), the three fields of a whole part, so the _Sides table that
     keeps sides lives next to its slot table: in a scope it keeps every
     side, and outside one the witness sum keeps only r-part sides there.
     """
@@ -219,9 +233,12 @@ class _Factors(dict):
         self._block_weights = block_weights
         # slot i of a symbolic spec is the variable with code code0 + i
         self._code0 = _first_code(spec.family) - 1 + shift if spec.kind == "symbolic" else 0
+        self.fill_code = _FILL_CODES[shift] if spec.kind == "uniform" else None
+        # the lowest code in this table's pairs, None when they have none
+        self.lead = _first_code(spec.family) if spec.kind == "symbolic" else self.fill_code
         self._fill_powers: dict[int, SparsePolynomial] = {}
 
-    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, int, int, int]:
+    def __missing__(self, key: tuple[int, int]) -> tuple[tuple, int, int]:
         i, v = key
         spec = self._spec
         value = spec.at(i + self._shift)
@@ -229,11 +246,11 @@ class _Factors(dict):
         if self._block_weights:
             weight *= math.factorial(i) ** v
         if spec.kind == "symbolic":
-            entry = (((self._code0 + i, v),), 1, 0, weight)
+            entry = (((self._code0 + i, v),), 1, weight)
         elif spec.kind == "uniform":
-            entry = ((), 1, v, weight)
+            entry = ((), 1, weight)
         else:
-            entry = ((), value.as_int() ** v, 0, weight)
+            entry = ((), value.as_int() ** v, weight)
         self[key] = entry
         return entry
 
@@ -245,18 +262,19 @@ class _Factors(dict):
             power = self._fill_powers[count] = self._spec.fill ** count
         return power
 
-    def side(self, part: Sequence[int]) -> tuple[tuple, int, int, int]:
-        """(pairs, factor, count, weight) of a whole part, its slots read from this table."""
+    def side(self, part: Sequence[int]) -> tuple[tuple, int, int]:
+        """(pairs, factor, weight) of a whole part, its slots read from this table."""
         pairs: tuple = ()
-        factor, count, weight = 1, 0, 1
+        factor = weight = 1
         for i, v in enumerate(part, self._first):
             if v:
-                p, f, c, w = self[i, v]
+                p, f, w = self[i, v]
                 pairs += p
                 factor *= f
-                count += c
                 weight *= w
-        return pairs, factor, count, weight
+        if self.fill_code is not None and any(part):
+            pairs = ((self.fill_code, sum(part)),)
+        return pairs, factor, weight
 
 
 class _Sides(dict):
@@ -272,64 +290,9 @@ class _Sides(dict):
         super().__init__()
         self.slots = slots
 
-    def __missing__(self, part: tuple[int, ...]) -> tuple[tuple, int, int, int]:
+    def __missing__(self, part: tuple[int, ...]) -> tuple[tuple, int, int]:
         side = self[part] = self.slots.side(part)
         return side
-
-
-_Run = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-# The r-parts of a plain witness: one, empty.
-_NO_R: tuple[tuple[int, ...], ...] = ((),)
-
-
-def _runs(witnesses: Iterable, paired: bool) -> Iterator[_Run]:
-    """(k_part, r_parts) for each run of consecutive witnesses with one k-part.
-
-    A plain witness is its own run, with one empty r-part.
-    """
-    if not paired:
-        for j in witnesses:
-            yield j, _NO_R
-        return
-    k_run, r_run = None, []
-    for k_part, r_part in witnesses:
-        if k_part != k_run:
-            if r_run:
-                yield k_run, tuple(r_run)
-            k_run, r_run = k_part, []
-        r_run.append(r_part)
-    if r_run:
-        yield k_run, tuple(r_run)
-
-
-def _witness_runs(
-    kept: dict | None, enumerator: Callable, args: tuple[int, ...]
-) -> Iterator[_Run]:
-    """The runs of enumerator(*args): read lazily outside a reuse scope, and
-    read once per scope and kept in the scope's dict inside one.
-
-    A kept stream is two tuples, its k-parts and the r_parts of each run,
-    and equal k-parts and equal r_parts tuples are shared by all the streams
-    kept in the scope, so a kept stream holds few objects of its own.  The
-    caller checks the arguments before the lookup, because a bool hashes
-    like the int it equals and would find that int's stream.
-    """
-    paired = len(args) == 3
-    if kept is None:
-        return _runs(enumerator(*args), paired)
-    key = ("witnesses", enumerator, *args)
-    stream = kept.get(key)
-    if stream is None:
-        # k-parts are tuples of ints and r_parts non-empty tuples of tuples,
-        # so the two kinds never compare equal in the one dict
-        shared = kept.setdefault("parts", {})
-        k_parts, r_runs = [], []
-        for k_part, r_parts in _runs(enumerator(*args), paired):
-            k_parts.append(shared.setdefault(k_part, k_part))
-            r_runs.append(shared.setdefault(r_parts, r_parts))
-        stream = kept[key] = (tuple(k_parts), tuple(r_runs))
-    return zip(*stream)
 
 
 def _sides(memo: dict, spec: SequenceSpec, shift: int, block_weights: bool) -> _Sides:
@@ -361,16 +324,17 @@ def _witness_sum(
 
     No polynomial is built per witness.  Each witness joins the sides of
     its k-part and of its r-part into one monomial key, and adds an int
-    coefficient under (pairs, a fill count, b fill count).  Inside a reuse
-    scope every side comes from the scope's side tables, so it is worked
-    out once per scope; outside one the side of a k-part is worked out once
-    per run, and that of an r-part once per call.  How the pairs join is
-    fixed once per call: a numeric or uniform side has no pairs, and two
-    symbolic families concatenate in code order, so only two specs of one
-    family, on paired witnesses, merge.  At the end the keys are grouped by
-    their fill counts, each group's pairs-keyed dict becomes a polynomial as
-    it is, each fill is raised once per distinct count, and the groups are
-    summed.
+    coefficient under it.  Inside a reuse scope every side comes from the
+    scope's side tables, so it is worked out once per scope; outside one the
+    side of a k-part is worked out once per run, and that of an r-part once
+    per call.  How the pairs join is fixed once per call, so that a joined
+    key stays code-sorted: a numeric side has no pairs, a uniform side only
+    its fill pair, whose negative code sorts first, and two sides with pairs
+    concatenate in the order of their lowest codes, so only two specs of one
+    symbolic family, on paired witnesses, merge.  Without a uniform spec the
+    pairs-keyed dict is the polynomial.  With one, the keys are regrouped by
+    their leading fill pairs, each fill is raised once per distinct count,
+    and the groups are summed.
     """
     n, k, rho = (*args, 0, 0)[:3]
     _check_nonnegative_int(n=n, rho=rho, k=k)
@@ -383,38 +347,44 @@ def _witness_sum(
     # k sides would cost more than it saves
     k_side = k_sides.slots.side if kept is None else k_sides.__getitem__
     join = None  # None: k pairs then r pairs, one concatenation
-    if len(args) == 3 and a.kind == b.kind == "symbolic":
-        if a.family == b.family:
+    if len(args) == 3:
+        lead_a, lead_b = k_sides.slots.lead, r_sides.slots.lead
+        if a.kind == b.kind == "symbolic" and a.family == b.family:
             join = _merge
-        elif _first_code(a.family) > _first_code(b.family):
+        elif lead_a is not None and lead_b is not None and lead_a > lead_b:
             join = _after
     num = math.factorial(n) * math.factorial(rho)
-    terms: dict[tuple[tuple, int, int], int] = {}
+    terms: dict[tuple, int] = {}
     for k_part, r_parts in runs:
-        k_pairs, k_factor, a_count, k_weight = k_side(k_part)
+        k_pairs, k_factor, k_weight = k_side(k_part)
         for r_part in r_parts:
-            r_pairs, r_factor, b_count, r_weight = r_sides[r_part]
-            key = (k_pairs + r_pairs if join is None else join(k_pairs, r_pairs), a_count, b_count)
+            r_pairs, r_factor, r_weight = r_sides[r_part]
+            key = k_pairs + r_pairs if join is None else join(k_pairs, r_pairs)
             coeff, rem = divmod(num, k_weight * r_weight)
             if rem:
                 raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
             coeff *= k_factor * r_factor
             terms[key] = terms.get(key, 0) + coeff
-    by_counts: dict[tuple[int, int], dict[tuple, int]] = {}
-    for (pairs, a_count, b_count), coeff in terms.items():
-        if coeff:
-            by_counts.setdefault((a_count, b_count), {})[pairs] = coeff
-    plain = SparsePolynomial._raw(by_counts.pop((0, 0), {}))
-    if not by_counts:
+    if not all(terms.values()):
+        terms = {pairs: coeff for pairs, coeff in terms.items() if coeff}
+    if a.kind != "uniform" and b.kind != "uniform":
+        return SparsePolynomial._raw(terms)
+    by_fills: dict[tuple, dict[tuple, int]] = {}
+    for pairs, coeff in terms.items():
+        cut = 0
+        while cut < len(pairs) and pairs[cut][0] < 0:
+            cut += 1
+        by_fills.setdefault(pairs[:cut], {})[pairs[cut:]] = coeff
+    plain = SparsePolynomial._raw(by_fills.pop((), {}))
+    if not by_fills:
         return plain
     acc = PolyAccumulator()
     acc.add(plain)
-    for (a_count, b_count), data in by_counts.items():
+    for fills, data in by_fills.items():
         part = SparsePolynomial._raw(data)
-        if a_count:
-            part = part * k_sides.slots.fill_power(a_count)
-        if b_count:
-            part = part * r_sides.slots.fill_power(b_count)
+        for code, count in fills:
+            slots = k_sides.slots if code == k_sides.slots.fill_code else r_sides.slots
+            part = part * slots.fill_power(count)
         acc.add(part)
     return acc.build()
 
@@ -495,13 +465,23 @@ def complete_r_lah_bell(
     a: SequenceSpec,
     b: SequenceSpec,
 ) -> SparsePolynomial:
-    """Sum over k of x^k times incomplete_r_lah_bell(n, k, r, a, b)."""
+    """Sum over k of x^k times incomplete_r_lah_bell(n, k, r, a, b).
+
+    Each term goes straight into the total: scaled by the int x^k when x is
+    a constant, multiplied in term by term otherwise, so no product
+    polynomial is built for any k.
+    """
     _check_nonnegative_int(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
+    if not xp.variables():
+        c = xp.as_int()
+        for k in range(n + 1):
+            total.add(incomplete_r_lah_bell(n, k, r, a, b), c**k)
+        return total.build()
     xpow = ONE
     for k in range(n + 1):
-        total.add(xpow * incomplete_r_lah_bell(n, k, r, a, b))
+        total._add_product(incomplete_r_lah_bell(n, k, r, a, b), xpow, 1)
         xpow = xpow * xp
     return total.build()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from collections import deque
@@ -132,6 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing leaves no state behind in it, so every main call can share it.
+    """
+    return build_parser()
 
 
 def _parse_sequence(
@@ -328,7 +338,7 @@ _COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "value": _cmd_value, "verif
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         try:

@@ -29,13 +29,25 @@ changes only how deep the recursion goes, never which witnesses come out or
 in what order.  The r-parts that complete a k-part depend only on the weight
 it leaves, so they are listed once per weight within one call and paired
 with each such k-part.
+
+Every witness-sum route reads its stream through _witness_runs, as runs
+(k_part, r_parts) of witnesses that share a k-part.  Outside a reuse scope
+(exact_core._reuse) the runs are read lazily from a fresh enumeration;
+inside one, the first reader keeps the stream in the scope's dict under
+(enumerator, n, k, rho) and later readers walk the kept runs, so the
+constructors in bell and the routes lah_via_pi and rlah_via_lambda share one
+enumeration per stream and scope.  Each route passes the enumerator it looks
+up by name in its own module at call time, so a wrapper put on that name
+still sees every enumeration.  rlah_via_lambda also keeps, per scope, the
+int sum of (2r)!/prod(r_i!) over each shared r_parts tuple: an input worked
+out once, like a side of the witness sums in bell, never a compared value.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .exact_core import _check_nonnegative_int, exact_div, factorials_upto
+from .exact_core import _MEMO, _check_nonnegative_int, exact_div, factorials_upto
 
 __all__ = [
     "enumerate_pi",
@@ -127,39 +139,106 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[_Parts]:
     yield from _paired_parts(n, k, rho)
 
 
+_Run = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+# The r-parts of a plain witness: one, empty.
+_NO_R: tuple[tuple[int, ...], ...] = ((),)
+
+
+def _runs(witnesses: Iterable, paired: bool) -> Iterator[_Run]:
+    """(k_part, r_parts) for each run of consecutive witnesses with one k-part.
+
+    A plain witness is its own run, with one empty r-part.
+    """
+    if not paired:
+        for j in witnesses:
+            yield j, _NO_R
+        return
+    k_run, r_run = None, []
+    for k_part, r_part in witnesses:
+        if k_part != k_run:
+            if r_run:
+                yield k_run, tuple(r_run)
+            k_run, r_run = k_part, []
+        r_run.append(r_part)
+    if r_run:
+        yield k_run, tuple(r_run)
+
+
+def _witness_runs(
+    kept: dict | None, enumerator: Callable, args: tuple[int, ...]
+) -> Iterator[_Run]:
+    """The runs of enumerator(*args): read lazily outside a reuse scope, and
+    read once per scope and kept in the scope's dict inside one.
+
+    A kept stream is two tuples, its k-parts and the r_parts of each run,
+    and equal k-parts and equal r_parts tuples are shared by all the streams
+    kept in the scope, so a kept stream holds few objects of its own.  The
+    caller checks the arguments before the lookup, because a bool hashes
+    like the int it equals and would find that int's stream.
+    """
+    paired = len(args) == 3
+    if kept is None:
+        return _runs(enumerator(*args), paired)
+    key = ("witnesses", enumerator, *args)
+    stream = kept.get(key)
+    if stream is None:
+        # k-parts are tuples of ints and r_parts non-empty tuples of tuples,
+        # so the two kinds never compare equal in the one dict
+        shared = kept.setdefault("parts", {})
+        k_parts, r_runs = [], []
+        for k_part, r_parts in _runs(enumerator(*args), paired):
+            k_parts.append(shared.setdefault(k_part, k_part))
+            r_runs.append(shared.setdefault(r_parts, r_parts))
+        stream = kept[key] = (tuple(k_parts), tuple(r_runs))
+    return zip(*stream)
+
+
+def _multinomial(top: int, part: tuple[int, ...], facts: list[int]) -> int:
+    """top over the product of the part's factorials, facts listing them."""
+    denom = 1
+    for v in part:
+        if v > 1:
+            denom *= facts[v]
+    return exact_div(top, denom)
+
+
+def _r_multinomials(r_parts: tuple[tuple[int, ...], ...], facts: list[int]) -> int:
+    """The sum over r_parts of rho!/prod(r_i!), rho being each part's total.
+
+    facts lists the factorials up to rho at least.
+    """
+    rf = facts[sum(r_parts[0])]
+    return sum(_multinomial(rf, r_part, facts) for r_part in r_parts)
+
+
 def lah_via_pi(n: int, k: int) -> int:
     """Partition-sum route to lah(n, k): sum over witnesses of n!/prod(j_i!)."""
     _check_nonnegative_int(n=n, k=k)
-    total = 0
     facts = factorials_upto(n)
     nf = facts[n]
-    for j in enumerate_pi(n, k):
-        denom = 1
-        for ji in j:
-            if ji > 1:
-                denom *= facts[ji]
-        total += exact_div(nf, denom)
-    return total
+    return sum(
+        _multinomial(nf, j, facts) for j, _ in _witness_runs(_MEMO.get(), enumerate_pi, (n, k))
+    )
 
 
 def rlah_via_lambda(n: int, k: int, r: int) -> int:
     """Constraint-sum route to rlah(n, k, r).
 
-    Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses.
+    Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses, one
+    run at a time: the k-part's multinomial times the sum of the r-parts'.
+    Within a reuse scope each r_parts tuple's sum is worked out once and
+    kept; outside one, once per call.
     """
     _check_nonnegative_int(n=n, k=k, r=r)
+    kept = _MEMO.get()
+    r_sums = {} if kept is None else kept.setdefault("r-sums", {})
     total = 0
     facts = factorials_upto(max(n, 2 * r))
     nf = facts[n]
-    rf = facts[2 * r]
-    for k_part, r_part in enumerate_lambda(n, k, 2 * r):
-        dk = 1
-        for v in k_part:
-            if v > 1:
-                dk *= facts[v]
-        dr = 1
-        for v in r_part:
-            if v > 1:
-                dr *= facts[v]
-        total += exact_div(nf, dk) * exact_div(rf, dr)
+    for k_part, r_parts in _witness_runs(kept, enumerate_lambda, (n, k, 2 * r)):
+        r_sum = r_sums.get(r_parts)
+        if r_sum is None:
+            r_sum = r_sums[r_parts] = _r_multinomials(r_parts, facts)
+        total += _multinomial(nf, k_part, facts) * r_sum
     return total

@@ -67,7 +67,13 @@ _exponent = itemgetter(1)
 
 @dataclass(frozen=True)
 class Variable:
-    """One indeterminate: an indexed family member, or the lone scalar x."""
+    """One indeterminate: an indexed family member, or the lone scalar x.
+
+    code, the int that stands for the variable in a monomial's pairs, is
+    worked out once at construction.  It is a plain attribute, not a field,
+    so equality, hashing, the repr and the field list see family and index
+    alone.
+    """
 
     family: str
     index: int = 1
@@ -83,11 +89,7 @@ class Variable:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
         elif self.index >= _INDEX_LIMIT:
             raise ValueError(f"variable index must be below 2**{_RANK_SHIFT}, got {self.index}")
-
-    @property
-    def code(self) -> int:
-        """The int that stands for this variable in a monomial's pairs."""
-        return _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index
+        object.__setattr__(self, "code", _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index)
 
     @property
     def name(self) -> str:

@@ -6,6 +6,7 @@ itertools, independent of the package's enumerator) for the paired
 families.  Numeric spot values are frozen from those oracles.
 """
 
+import contextlib
 import itertools
 import math
 from collections import Counter
@@ -707,6 +708,14 @@ _JOINS = [
         Y, SequenceSpec.uniform(var("x1") + 1),
         {"a": lambda i: var(f"y{i}"), "b": lambda i: var("x1") + 1}, id="uniform-r-side",
     ),
+    pytest.param(
+        incomplete_r_lah_bell, SequenceSpec.uniform(var("y2") - 2), X,
+        {"a": lambda i: var("y2") - 2, "b": lambda i: var(f"x{i}")}, id="uniform-k-side",
+    ),
+    pytest.param(
+        incomplete_r_lah_bell, SequenceSpec.uniform(var("b1")), SequenceSpec.uniform(var("b1")),
+        {"a": lambda i: var("b1"), "b": lambda i: var("b1")}, id="one-fill-on-both-sides",
+    ),
 ]
 
 
@@ -723,3 +732,65 @@ def test_witness_sums_join_the_two_sides_in_code_order(build, a, b, images):
                 for pairs in got._terms:
                     codes = [code for code, _ in pairs]
                     assert codes == sorted(set(codes)), (n, k, r, pairs)
+
+
+# Specs of every kind: symbolic, numeric, and uniform over a constant, a
+# variable and a sum, the variable sorting before or after the symbolic
+# families that meet it.
+_MIXED_SPECS = [
+    A, B, ONES, SequenceSpec.explicit([2, 0, -1, 5, 1, 3, -2]),
+    SequenceSpec.uniform(3), SequenceSpec.uniform(var("x1")),
+    SequenceSpec.uniform(var("b2") - var("a1") + 1),
+]
+
+
+def test_no_reserved_fill_code_is_left_in_a_witness_sum():
+    """A uniform side keys its fill count under a negative code, which the
+    sum must turn back into powers of the fill before it returns."""
+    x = var(SCALAR_X)
+    for a in _MIXED_SPECS:
+        for b in _MIXED_SPECS:
+            for scope in (contextlib.nullcontext, _reuse):
+                with scope():
+                    values = [
+                        build(n, k, r, a, b)
+                        for n in range(5)
+                        for k in range(n + 1)
+                        for r in range(2)
+                        for build in (incomplete_r_lah_bell, incomplete_r_bell)
+                    ]
+                    values += [complete_r_lah_bell(n, 1, c, a, b) for n in range(5) for c in (1, x)]
+                    values += [f(n, a) for n in range(5) for f in (complete_bell, complete_lah_bell)]
+                    values += [incomplete_bell(4, k, a) for k in range(5)]
+                negative = [
+                    pairs for value in values for pairs in value._terms
+                    if any(code < 0 for code, _ in pairs)
+                ]
+                assert negative == [], (a, b)
+
+
+def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
+    """x^k times each partial polynomial goes straight into the total: at a
+    constant x no polynomial product is taken, and at a symbolic one only
+    the powers of x, one term each, are."""
+    products = []
+    multiply = SparsePolynomial.__mul__
+
+    def counted(self, other):
+        products.append((len(self), len(as_poly(other))))
+        return multiply(self, other)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
+    monkeypatch.setattr(SparsePolynomial, "__rmul__", counted)
+    x = var(SCALAR_X)
+    for c in (0, 1, -2, 3):
+        want = sum(
+            (incomplete_r_lah_bell(6, k, 1, A, B) * c**k for k in range(7)), const(0)
+        )
+        products.clear()
+        assert complete_r_lah_bell(6, 1, c, A, B) == want, c
+        assert products == [], c
+    products.clear()
+    got = complete_r_lah_bell(6, 1, x, A, B)
+    assert products and set(products) == {(1, 1)}
+    assert got == sum((x**k * incomplete_r_lah_bell(6, k, 1, A, B) for k in range(7)), const(0))

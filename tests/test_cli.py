@@ -325,6 +325,34 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    """Every main call shares the parser the first one built, and a usage
+    error on a later call prints the same bytes and exits 2 again."""
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["value", "lah", "--n", "4", "--k", "2"]) == 0
+        assert cli.main(["value", "lah", "--n", "5", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "36\n240\n"
+        assert len(built) == 1
+        bad = ["poly", "complete-bell", "--n", "3", "--seq-a", "1,2,oops"]
+        outcomes = []
+        for _ in range(2):
+            outcomes.append((cli.main(bad), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and "invalid sequence" in outcomes[0][2]
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 @pytest.mark.parametrize(
     "argv,flag,family",
     [

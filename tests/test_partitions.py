@@ -11,7 +11,7 @@ import operator
 import pytest
 
 from lahbell.bell import _exponent_vectors
-from lahbell.exact_core import lah, rlah
+from lahbell.exact_core import _reuse, lah, rlah
 from lahbell.partitions import (
     enumerate_lambda,
     enumerate_pi,
@@ -177,6 +177,22 @@ def test_paired_witness_sum_rebuilds_rlah_triangle():
         for k in range(n + 1):
             for r in range(4):
                 assert rlah_via_lambda(n, k, r) == rlah(n, k, r), (n, k, r)
+
+
+def test_witness_routes_agree_in_and_out_of_a_reuse_scope():
+    """Inside a scope the routes walk kept runs and kept r-part sums, over
+    streams that calls of other sizes kept before them; the values must be
+    those of a fresh enumeration and of the closed form."""
+    grid = [(n, k) for n in range(15) for k in range(n + 2)]
+    fresh_pi = {(n, k): lah_via_pi(n, k) for n, k in grid}
+    fresh_lambda = {(n, k, r): rlah_via_lambda(n, k, r) for n, k in grid for r in range(4)}
+    with _reuse():
+        for _ in range(2):
+            assert {(n, k): lah_via_pi(n, k) for n, k in grid} == fresh_pi
+            scoped = {(n, k, r): rlah_via_lambda(n, k, r) for n, k in grid for r in range(4)}
+            assert scoped == fresh_lambda
+    assert fresh_pi == {(n, k): lah(n, k) for n, k in grid}
+    assert fresh_lambda == {(n, k, r): rlah(n, k, r) for n, k, r in fresh_lambda}
 
 
 # -- streams pinned against a brute-force reference -------------------------

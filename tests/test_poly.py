@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, canonical text form, and JSON round-trips."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -222,6 +223,19 @@ def test_variable_polynomials_are_shared():
         indexed_var("x", 2**40 + 1)
     with pytest.raises(TypeError):
         var(3)
+
+
+def test_variable_code_is_set_once_and_is_not_a_field():
+    v = Variable("b", 7)
+    assert v.code == 2 << 40 | 7
+    assert vars(v)["code"] == v.code
+    assert [f.name for f in dataclasses.fields(v)] == ["family", "index"]
+    assert repr(v) == "Variable(family='b', index=7)"
+    assert dataclasses.astuple(v) == ("b", 7)
+    assert v == Variable("b", 7) and hash(v) == hash(Variable("b", 7))
+    assert dataclasses.replace(v, index=8).code == v.code + 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.code = 0
 
 
 def test_variable_index_must_fit_the_code():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from lahbell import bell, cli, series, verify
+from lahbell import bell, cli, partitions, series, verify
 from lahbell.bell import ONES, SequenceSpec, incomplete_bell, incomplete_r_lah_bell
 from lahbell.exact_core import _MEMO, _reuse
 from lahbell.poly import Monomial, SparsePolynomial, const, var
@@ -335,18 +335,34 @@ def test_every_identity_has_two_fault_rows():
 
 
 def test_a_verify_run_enumerates_each_witness_stream_once(monkeypatch):
+    """The witness sums in bell and the routes of prop2 and corollary6 in
+    partitions each look the enumerator up by name, and all of them read
+    one kept stream per (enumerator, args) within a run."""
     calls = Counter()
     for name in ("enumerate_lambda", "enumerate_pi"):
-        original = getattr(bell, name)
+        original = getattr(partitions, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name, args] += 1
             return _original(*args)
 
         monkeypatch.setattr(bell, name, counted)
+        monkeypatch.setattr(partitions, name, counted)
     assert all(item.passed for item in run_suites("all", 8, 2))
     assert {name for name, _ in calls} == {"enumerate_lambda", "enumerate_pi"}
     assert set(calls.values()) == {1}
+    # the two routes alone read every stream of their grids, once each
+    for suite, name, grid in (
+        ("prop2", "enumerate_pi", {(n, k) for n in range(9) for k in range(n + 1)}),
+        (
+            "corollary6", "enumerate_lambda",
+            {(n, k, 2 * r) for n in range(9) for k in range(n + 1) for r in range(3)},
+        ),
+    ):
+        calls.clear()
+        assert all(item.passed for item in run_suites(suite, 8, 2))
+        assert {args for called, args in calls if called == name} == grid
+        assert set(calls.values()) == {1}
     # outside a scope each constructor call enumerates afresh
     calls.clear()
     a, b = SequenceSpec.symbolic("a"), SequenceSpec.symbolic("b")
@@ -421,3 +437,13 @@ def test_a_run_keeps_its_inputs_in_the_scope_its_caller_opened(capsys):
     assert cli.main(["verify", "--suite", "theorem5", "--n-max", "3"]) == 0
     assert "1 of 1 identities passed" in capsys.readouterr().out
     assert _MEMO.get() is None
+
+
+def test_a_wrong_kept_r_part_sum_fails_corollary6_alone(monkeypatch):
+    """The r-part sums kept in a run belong to corollary6's witness route
+    only: one made wrong fails that identity and no other."""
+    _break(monkeypatch, partitions, "_r_multinomials", only=lambda args: args[0] == ((2,),))
+    failed = [
+        (item.identity, item.counterexample) for item in run_suites("all", 3, 1) if not item.passed
+    ]
+    assert failed == [(C6, "n=0 k=0 r=1: 2 vs 1")]
