@@ -20,16 +20,20 @@ its witnesses as runs (k_part, r_parts) of witnesses that share a k-part,
 from partitions._witness_runs, the run reader it shares with the routes
 lah_via_pi and rlah_via_lambda.  It keeps, per side, a table of slot terms
 (i, v) -> (monomial pairs, int factor, coefficient divisor), each read from
-the spec on first use, and next to it a table of whole-part sides,
-part -> the same three fields for the part.  A side over a uniform spec
-carries its fill count as one pair under a reserved negative code, one per
-side, so every term is keyed by its joined pairs alone.  It builds no
+the spec on first use, and next to it a poly._FirstUse table of whole-part
+sides, part -> the same three fields for the part.  A side over a uniform
+spec carries its fill count as one pair under a reserved negative code, one
+per side, so every term is keyed by its joined pairs alone.  It builds no
 polynomial per witness: it joins the two sides' pairs by one tuple
-concatenation (or, for two specs of one symbolic family, one merge), takes
-the coefficient by one divmod and sums int coefficients in a dict keyed by
-the joined pairs, which is the result as it stands.  Only a call with a
-uniform spec regroups its keys by their fill pairs and raises each fill
-once per distinct count.
+concatenation when the k side's codes sort first, as they do for every
+input a command or suite passes, and by one poly._merge otherwise (two
+specs of one symbolic family, or sides whose families sort the other way
+round).  It takes the coefficient by one divmod and sums int coefficients
+in a dict keyed by the joined pairs, which is the result as it stands.
+Only a call with a uniform spec regroups its keys by their fill pairs and
+multiplies each group by its fills' powers, taken with ** and kept nowhere:
+the uniform fills that verify passes are one term each, which ** raises in
+one step.
 
 Outside a reuse scope (exact_core._reuse) the witness runs are read lazily,
 the side of each k-part is worked out once per run and that of each r-part
@@ -76,6 +80,7 @@ from .poly import (
     PolyAccumulator,
     SparsePolynomial,
     Variable,
+    _FirstUse,
     _merge,
     as_poly,
     const,
@@ -220,9 +225,10 @@ class _Factors(dict):
     carries b_{i+1}.  An entry depends on nothing but the spec, shift, block
     weights and its key, so one table serves calls of any n: a table lives
     for one constructor call, or for a whole reuse scope.  The same holds
-    for side(), the three fields of a whole part, so the _Sides table that
-    keeps sides lives next to its slot table: in a scope it keeps every
-    side, and outside one the witness sum keeps only r-part sides there.
+    for side(), the three fields of a whole part, so _tables keeps a
+    poly._FirstUse table of sides next to each slot table: in a scope it
+    keeps every side, and outside one the witness sum keeps only r-part
+    sides there.
     """
 
     def __init__(self, spec: SequenceSpec, shift: int, block_weights: bool) -> None:
@@ -236,7 +242,6 @@ class _Factors(dict):
         self.fill_code = _FILL_CODES[shift] if spec.kind == "uniform" else None
         # the lowest code in this table's pairs, None when they have none
         self.lead = _first_code(spec.family) if spec.kind == "symbolic" else self.fill_code
-        self._fill_powers: dict[int, SparsePolynomial] = {}
 
     def __missing__(self, key: tuple[int, int]) -> tuple[tuple, int, int]:
         i, v = key
@@ -254,14 +259,6 @@ class _Factors(dict):
         self[key] = entry
         return entry
 
-    def fill_power(self, count: int) -> SparsePolynomial:
-        """The uniform fill raised to count, computed once per distinct count."""
-        power = self._fill_powers.get(count)
-        if power is None:
-            assert self._spec.fill is not None
-            power = self._fill_powers[count] = self._spec.fill ** count
-        return power
-
     def side(self, part: Sequence[int]) -> tuple[tuple, int, int]:
         """(pairs, factor, weight) of a whole part, its slots read from this table."""
         pairs: tuple = ()
@@ -277,35 +274,16 @@ class _Factors(dict):
         return pairs, factor, weight
 
 
-class _Sides(dict):
-    """part -> slots.side(part), worked out on the part's first use.
-
-    It lives as long as its slot table: for one constructor call, or for a
-    whole reuse scope.
-    """
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: _Factors) -> None:
-        super().__init__()
-        self.slots = slots
-
-    def __missing__(self, part: tuple[int, ...]) -> tuple[tuple, int, int]:
-        side = self[part] = self.slots.side(part)
-        return side
-
-
-def _sides(memo: dict, spec: SequenceSpec, shift: int, block_weights: bool) -> _Sides:
+def _tables(
+    memo: dict, spec: SequenceSpec, shift: int, block_weights: bool
+) -> tuple[_Factors, _FirstUse]:
+    """The slot table of one side and its table of whole-part sides."""
     key = ("slots", spec, shift, block_weights)
-    sides = memo.get(key)
-    if sides is None:
-        sides = memo[key] = _Sides(_Factors(spec, shift, block_weights))
-    return sides
-
-
-def _after(p: tuple, q: tuple) -> tuple:
-    """Join two code-sorted pair tuples whose codes all sort q before p."""
-    return q + p
+    tables = memo.get(key)
+    if tables is None:
+        slots = _Factors(spec, shift, block_weights)
+        tables = memo[key] = (slots, _FirstUse(slots.side))
+    return tables
 
 
 def _witness_sum(
@@ -328,38 +306,33 @@ def _witness_sum(
     scope's side tables, so it is worked out once per scope; outside one the
     side of a k-part is worked out once per run, and that of an r-part once
     per call.  How the pairs join is fixed once per call, so that a joined
-    key stays code-sorted: a numeric side has no pairs, a uniform side only
-    its fill pair, whose negative code sorts first, and two sides with pairs
-    concatenate in the order of their lowest codes, so only two specs of one
-    symbolic family, on paired witnesses, merge.  Without a uniform spec the
-    pairs-keyed dict is the polynomial.  With one, the keys are regrouped by
-    their leading fill pairs, each fill is raised once per distinct count,
-    and the groups are summed.
+    key stays code-sorted: a numeric side has no pairs, and a uniform side
+    only its fill pair, whose negative code sorts first.  When the k side's
+    lowest code sorts below the r side's, or either side has no pairs, the
+    join is one concatenation; otherwise it is one _merge.  Without a
+    uniform spec the pairs-keyed dict is the polynomial.  With one, the keys
+    are regrouped by their leading fill pairs, each group is multiplied by
+    its fills raised to their counts, and the groups are summed.
     """
     n, k, rho = (*args, 0, 0)[:3]
     _check_nonnegative_int(n=n, rho=rho, k=k)
     kept = _MEMO.get()
     runs = _witness_runs(kept, enumerator, args)
     memo = {} if kept is None else kept  # outside a scope nothing outlives the call
-    k_sides = _sides(memo, a, 0, block_weights)
-    r_sides = _sides(memo, b, 1, block_weights)
+    k_slots, k_sides = _tables(memo, a, 0, block_weights)
+    r_slots, r_sides = _tables(memo, b, 1, block_weights)
     # outside a scope a plain witness meets each k-part once, so a table of
     # k sides would cost more than it saves
-    k_side = k_sides.slots.side if kept is None else k_sides.__getitem__
-    join = None  # None: k pairs then r pairs, one concatenation
-    if len(args) == 3:
-        lead_a, lead_b = k_sides.slots.lead, r_sides.slots.lead
-        if a.kind == b.kind == "symbolic" and a.family == b.family:
-            join = _merge
-        elif lead_a is not None and lead_b is not None and lead_a > lead_b:
-            join = _after
+    k_side = k_slots.side if kept is None else k_sides.__getitem__
+    lead_a, lead_b = k_slots.lead, r_slots.lead
+    merge = len(args) == 3 and lead_a is not None and lead_b is not None and lead_a >= lead_b
     num = math.factorial(n) * math.factorial(rho)
     terms: dict[tuple, int] = {}
     for k_part, r_parts in runs:
         k_pairs, k_factor, k_weight = k_side(k_part)
         for r_part in r_parts:
             r_pairs, r_factor, r_weight = r_sides[r_part]
-            key = k_pairs + r_pairs if join is None else join(k_pairs, r_pairs)
+            key = _merge(k_pairs, r_pairs) if merge else k_pairs + r_pairs
             coeff, rem = divmod(num, k_weight * r_weight)
             if rem:
                 raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
@@ -383,8 +356,8 @@ def _witness_sum(
     for fills, data in by_fills.items():
         part = SparsePolynomial._raw(data)
         for code, count in fills:
-            slots = k_sides.slots if code == k_sides.slots.fill_code else r_sides.slots
-            part = part * slots.fill_power(count)
+            spec = a if code == k_slots.fill_code else b
+            part = part * spec.fill ** count
         acc.add(part)
     return acc.build()
 
@@ -530,14 +503,14 @@ def complete_r_lah_bell_expansion(
         for i, y in enumerate(ysums):
             if not y.is_zero:
                 for l in range(n + 1 - i):
-                    power[i + l].add(y * ybase[l])
+                    power[i + l]._add_product(y, ybase[l], 1)
         ysums = [p.build() for p in power]
     acc = PolyAccumulator()
     facts = factorials_upto(n)
     for k in range(n + 1):
         ypart = ysums[n - k]
         if not ypart.is_zero:
-            acc.add(complete_lah_bell(k, xs) * ypart, exact_div(facts[n], facts[k]))
+            acc._add_product(complete_lah_bell(k, xs), ypart, exact_div(facts[n], facts[k]))
     return acc.build()
 
 

@@ -38,7 +38,7 @@ from .exact_core import (
     lah,
     rlah,
 )
-from .poly import SCALAR_X, SparsePolynomial, _name, _PairTable, var
+from .poly import SCALAR_X, var
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "run"]
@@ -276,28 +276,6 @@ def _render_csv(record: dict) -> str:
     return "".join(lines)
 
 
-def _json_entry(code: int, e: int) -> str:
-    return f'        "{_name(code)}": {e}'
-
-
-def _json_terms(poly: SparsePolynomial) -> str:
-    """The "terms" array of poly.to_json_obj() as json.dumps(indent=2) writes
-    it one level deep, filled into fixed templates.  Names are ASCII letters
-    and digits and coefficients digits after an optional "-", so nothing in
-    them needs escaping."""
-    ordered = poly._ordered()
-    if not ordered:
-        return "[]"
-    entries = _PairTable(_json_entry).__getitem__
-    out = []
-    for pairs, coeff in ordered:
-        monomial = "{\n" + ",\n".join(map(entries, pairs)) + "\n      }" if pairs else "{}"
-        out.append(
-            '    {\n      "coeff": "' + str(coeff) + '",\n      "monomial": ' + monomial + "\n    }"
-        )
-    return "[\n" + ",\n".join(out) + "\n  ]"
-
-
 def _spliced(head: str, parts: list[str], sep: str, tail: str) -> str:
     """head + sep.join(parts) + tail in one join: head and tail are glued onto
     the end parts, so the joined text is never copied again.  parts must not
@@ -322,7 +300,7 @@ def _render_json(record: dict) -> str:
         # decimal string needs no escaping.
         head = json.dumps(payload, indent=2)[:-2]
         if kind == "polynomial":
-            return head + ',\n  "terms": ' + _json_terms(record["poly"]) + "\n}\n"
+            return head + ',\n  "terms": ' + record["poly"]._json_terms() + "\n}\n"
         if kind == "triangle":
             rows = ['",\n      "'.join(map(str, row)) for row in record["rows"]]
             return _spliced(

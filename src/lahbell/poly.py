@@ -26,16 +26,22 @@ Polynomials hash consistently with equality, including equality with an
 int: hash(const(c)) == hash(c).
 
 Text and JSON renderings list terms in descending graded lexicographic
-order, so equal polynomials always render identically.  A rendering reads
-the text and the sort key of each (code, exponent) pair from a _PairTable
-built for it, so each name is decoded once per render, not once per term;
-the command line writes its JSON terms from fixed templates filled from
-such a table.
+order, so equal polynomials always render identically.  Each rule has one
+home here: _order_key is the canonical order, for Monomial.sort_key and
+for the sort of a rendering; to_text is the text form, Monomial.__str__
+included; and _json_terms writes the JSON terms from fixed templates, for
+the command line and, read back, for to_json_obj.  A rendering reads the
+text and the sort key of each (code, exponent) pair from a _FirstUse table
+built for it, so each name is decoded once per render, not once per term.
+_FirstUse, a dict that fills each key on its first use, is the package's
+one such table: the witness sums in bell keep their part sides in it too.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -154,28 +160,35 @@ def _merge(p: tuple, q: tuple) -> tuple:
             cp, cq = p[i][0], q[j][0]
 
 
-def _sort_key(pairs: tuple) -> tuple:
-    """Ascending sort by this key lists monomials in descending graded lex."""
-    return (-sum(e for _, e in pairs), tuple((c, -e) for c, e in pairs))
-
-
-def _power(code: int, e: int) -> str:
+def _power(pair: tuple[int, int]) -> str:
     """The text of one (code, exponent) pair: 'x1', or 'x1^2' above the first power."""
+    code, e = pair
     return _name(code) if e == 1 else f"{_name(code)}^{e}"
 
 
-def _text(pairs: tuple) -> str:
-    if not pairs:
-        return "1"
-    return "*".join(_power(c, e) for c, e in pairs)
+def _json_entry(pair: tuple[int, int]) -> str:
+    return f'        "{_name(pair[0])}": {pair[1]}'
 
 
-class _PairTable(dict):
-    """(code, exponent) -> form(code, exponent), worked out on a pair's first use.
+def _descending(pair: tuple[int, int]) -> tuple[int, int]:
+    return pair[0], -pair[1]
 
-    One table serves one rendering, where the same few pairs recur in
-    thousands of terms: each is decoded once, and every later lookup is a
-    plain dict hit.
+
+def _order_key(flip, term: tuple) -> tuple:
+    """The canonical-order key of a term (pairs, coefficient): ascending sort
+    by it lists terms in descending graded lex of their monomials.  It is the
+    negated degree, then each pair's (code, -exponent), which flip gives."""
+    pairs = term[0]
+    return (-sum(map(_exponent, pairs)), *map(flip, pairs))
+
+
+class _FirstUse(dict):
+    """key -> form(key), worked out on the key's first use and kept.
+
+    A rendering builds one over (code, exponent) pairs, where the same few
+    pairs recur in thousands of terms: each is decoded once, and every later
+    lookup is a plain dict hit.  The witness sums keep one over whole parts
+    next to each slot table (bell._tables).
     """
 
     __slots__ = ("_form",)
@@ -184,13 +197,9 @@ class _PairTable(dict):
         super().__init__()
         self._form = form
 
-    def __missing__(self, pair: tuple[int, int]):
-        value = self[pair] = self._form(*pair)
+    def __missing__(self, key):
+        value = self[key] = self._form(key)
         return value
-
-
-def _descending(code: int, e: int) -> tuple[int, int]:
-    return code, -e
 
 
 class Monomial:
@@ -256,10 +265,11 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         """Ascending sort by this key lists monomials in descending graded lex."""
-        return _sort_key(self._pairs)
+        # a monomial sorts and renders as its term of coefficient 1
+        return _order_key(_descending, (self._pairs, 1))
 
     def __str__(self) -> str:
-        return _text(self._pairs)
+        return SparsePolynomial._raw({self._pairs: 1}).to_text()
 
     def __repr__(self) -> str:
         return f"Monomial({str(self)!r})"
@@ -309,14 +319,10 @@ class SparsePolynomial:
     def _ordered(self) -> list[tuple[tuple, int]]:
         """(pairs, coefficient) in canonical (descending graded lex) order.
 
-        The key orders as _sort_key does, flattened: the negated degree, then
-        each pair's (code, -exponent), read from a table built for this sort.
+        Each pair's part of the key is read from a table built for this sort.
         """
-        flip = _PairTable(_descending).__getitem__
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (-sum(map(_exponent, item[0])), *map(flip, item[0])),
-        )
+        key = partial(_order_key, _FirstUse(_descending).__getitem__)
+        return sorted(self._terms.items(), key=key)
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical (descending graded lexicographic) order."""
@@ -492,7 +498,7 @@ class SparsePolynomial:
         """Canonical human-readable form, '0' for the zero polynomial."""
         if not self._terms:
             return "0"
-        names = _PairTable(_power).__getitem__
+        names = _FirstUse(_power).__getitem__
         out: list[str] = []
         for pairs, coeff in self._ordered():
             out.append(" - " if coeff < 0 else " + ")
@@ -506,17 +512,27 @@ class SparsePolynomial:
         out[0] = "-" if out[0] == " - " else ""
         return "".join(out)
 
+    def _json_terms(self) -> str:
+        """The "terms" array of the JSON form as json.dumps(indent=2) writes it
+        one level deep, filled into fixed templates.  Names are ASCII letters
+        and digits and coefficients digits after an optional "-", so nothing
+        in them needs escaping."""
+        ordered = self._ordered()
+        if not ordered:
+            return "[]"
+        entries = _FirstUse(_json_entry).__getitem__
+        out = []
+        for pairs, coeff in ordered:
+            monomial = "{\n" + ",\n".join(map(entries, pairs)) + "\n      }" if pairs else "{}"
+            out.append(
+                '    {\n      "coeff": "' + str(coeff)
+                + '",\n      "monomial": ' + monomial + "\n    }"
+            )
+        return "[\n" + ",\n".join(out) + "\n  ]"
+
     def to_json_obj(self) -> dict:
         """JSON-ready form: {"terms": [{"coeff": "...", "monomial": {...}}, ...]}."""
-        return {
-            "terms": [
-                {
-                    "coeff": str(coeff),
-                    "monomial": {_name(c): e for c, e in pairs},
-                }
-                for pairs, coeff in self._ordered()
-            ]
-        }
+        return {"terms": json.loads(self._json_terms())}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SparsePolynomial":

@@ -22,7 +22,9 @@ constants (every entry the zero polynomial or a lone constant term) runs on
 plain ints: each entry is one C-level sum over a binomial row, stepped by
 Pascal's rule, and the results are wrapped back as constant polynomials.
 The choice is made once per operation from its operands, so one symbolic
-entry sends the whole operation through the polynomial convolution.
+entry sends the whole operation through the polynomial convolution.  The
+series product and the head step make that choice in one place, _lattice;
+exp makes it for its own recurrence.
 
 A grid of gf_expand calls, such as the one the verifier sweeps, can share
 its factors: inside the package's reuse scope (exact_core._reuse, which
@@ -41,8 +43,7 @@ from operator import add, mul
 from typing import Sequence, Union
 
 from .bell import FACTORIALS, ONES, SequenceSpec, complete_bell
-# series._reuse and series._MEMO name the package's reuse scope here too.
-from .exact_core import _MEMO, _check_nonnegative_int, _reuse, factorial  # noqa: F401
+from .exact_core import _MEMO, _check_nonnegative_int, factorial
 from .poly import ONE, ZERO, PolyAccumulator, SparsePolynomial, as_poly
 
 __all__ = [
@@ -95,13 +96,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(self.order, other.order)
-        left = _constants(self.coeffs[: n + 1])
-        right = None if left is None else _constants(other.coeffs[: n + 1])
-        if right is not None:
-            return TruncatedSeries(n, _constant_polys(_int_lattice(left, right)))
-        return TruncatedSeries(
-            n, tuple(_convolve(self.coeffs, other.coeffs, m) for m in range(n + 1))
-        )
+        return TruncatedSeries(n, _lattice(self.coeffs[: n + 1], other.coeffs[: n + 1]))
 
     def scale(self, value: Union[SparsePolynomial, int]) -> "TruncatedSeries":
         p = as_poly(value)
@@ -134,6 +129,22 @@ class TruncatedSeries:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 series")
         return TruncatedSeries(self.order - 1, self.coeffs[1:])
+
+
+def _lattice(
+    left: Sequence[SparsePolynomial], right: Sequence[SparsePolynomial]
+) -> tuple[SparsePolynomial, ...]:
+    """Entries n < len(left) of the lattice product of left and right.
+
+    right needs at least len(left) entries.  Constant operands run on ints
+    (_int_lattice); one symbolic entry on either side sends every entry
+    through the polynomial convolution.
+    """
+    values = _constants(left)
+    others = None if values is None else _constants(right)
+    if others is not None:
+        return _constant_polys(_int_lattice(values, others))
+    return tuple(_convolve(left, right, n) for n in range(len(left)))
 
 
 def _convolve(
@@ -263,17 +274,10 @@ def _head_step(base: TruncatedSeries, prev: TruncatedSeries) -> TruncatedSeries:
     Combinatorics, 3.3) p_0 = 0 and
       p_(n+1) = sum_(i=0..n) C(n, i) * a_(i+1) * q_(n-i),
     which costs what one series product costs and needs no division by k!.
-    Constant operands run it on ints (_int_lattice).
+    The shifted base is one entry shorter than prev, so the lattice product
+    gives entries 1..order.
     """
-    shifted = base.coeffs[1:]
-    left = _constants(shifted)
-    right = None if left is None else _constants(prev.coeffs)
-    if right is not None:
-        return TruncatedSeries(base.order, (ZERO,) + _constant_polys(_int_lattice(left, right)))
-    return TruncatedSeries(
-        base.order,
-        (ZERO,) + tuple(_convolve(shifted, prev.coeffs, n) for n in range(base.order)),
-    )
+    return TruncatedSeries(base.order, (ZERO,) + _lattice(base.coeffs[1:], prev.coeffs))
 
 
 GF_FAMILIES = {

@@ -794,3 +794,21 @@ def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
     got = complete_r_lah_bell(6, 1, x, A, B)
     assert products and set(products) == {(1, 1)}
     assert got == sum((x**k * incomplete_r_lah_bell(6, k, 1, A, B) for k in range(7)), const(0))
+
+
+def test_complete_r_lah_bell_expansion_builds_no_product_polynomial(monkeypatch):
+    """The ys powers and each k's term go into their accumulators term by
+    term, so no polynomial product is taken."""
+    want = complete_r_lah_bell(6, 2, 1, X, Y)
+    products = []
+    multiply = SparsePolynomial.__mul__
+
+    def counted(self, other):
+        products.append((len(self), len(as_poly(other))))
+        return multiply(self, other)
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
+    monkeypatch.setattr(SparsePolynomial, "__rmul__", counted)
+    got = complete_r_lah_bell_expansion(6, 2, X, Y)
+    assert products == []
+    assert got == want

@@ -215,6 +215,16 @@ def _reference_text(poly):
     return text or "0"
 
 
+def _reference_json_obj(poly):
+    """The JSON form built as a dict, term by term in canonical order."""
+    return {
+        "terms": [
+            {"coeff": str(c), "monomial": {v.name: e for v, e in m.pairs}}
+            for m, c in poly.terms()
+        ]
+    }
+
+
 # few indices and exponents, so that terms often tie on degree and leading pair
 _render_variables = st.one_of(
     st.builds(Variable, st.sampled_from(["x", "a", "b", "y"]), st.sampled_from([1, 2, 10, 12])),
@@ -246,7 +256,9 @@ _queries = st.dictionaries(
 def test_polynomial_renderings_match_the_reference(poly, query):
     record = {"kind": "polynomial", "query": query, "poly": poly}
     assert cli._render_text(record) == _reference_text(poly) + "\n"
-    want = json.dumps({"kind": "polynomial", "query": query, **poly.to_json_obj()}, indent=2)
+    obj = _reference_json_obj(poly)
+    assert poly.to_json_obj() == obj
+    want = json.dumps({"kind": "polynomial", "query": query, **obj}, indent=2)
     assert cli._render_json(record) == want + "\n"
 
 

@@ -320,6 +320,12 @@ def test_sort_key_matches_variable_sort_keys(monos):
         return (-m.degree, tuple((*_variable_key(v), -e) for v, e in m.pairs))
 
     assert sorted(monos, key=Monomial.sort_key) == sorted(monos, key=graded_lex)
+    # the monomial's own text and order are those of the polynomial renderings
+    distinct = list(dict.fromkeys(monos))
+    poly = SparsePolynomial([(m, 1) for m in distinct])
+    assert [m for m, _ in poly.terms()] == sorted(distinct, key=Monomial.sort_key)
+    for m in distinct:
+        assert str(m) == SparsePolynomial([(m, 1)]).to_text()
 
 
 @given(_variables, st.integers(min_value=1, max_value=2**70))

@@ -14,14 +14,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lahbell.bell import FACTORIALS, ONES, SequenceSpec, complete_bell, incomplete_r_bell
-from lahbell.exact_core import IntegralityError, factorial, lah, lah_bell_number, rlah
+from lahbell.exact_core import (
+    _MEMO,
+    IntegralityError,
+    _reuse,
+    factorial,
+    lah,
+    lah_bell_number,
+    rlah,
+)
 from lahbell import series
 from lahbell.poly import ONE, ZERO, const, var
 from lahbell.series import (
     GF_FAMILIES,
     TruncatedSeries,
     _head_step,
-    _reuse,
     exp,
     faa_di_bruno_check,
     from_sequence,
@@ -473,25 +480,25 @@ def test_reuse_scope_gives_the_unscoped_coefficients(a, b, x):
 
 
 def test_reuse_scope_keeps_nothing_after_it_closes():
-    assert series._MEMO.get() is None
+    assert _MEMO.get() is None
     gf_expand("r-lah", 4, k=1, r=1)
-    assert series._MEMO.get() is None
+    assert _MEMO.get() is None
     with _reuse():
         gf_expand("r-lah", 4, k=1, r=1)
-        outer = series._MEMO.get()
+        outer = _MEMO.get()
         kept = dict(outer)
         assert kept
         with _reuse():
-            assert series._MEMO.get() == {}
+            assert _MEMO.get() == {}
             gf_expand("r-lah", 4, k=2, r=2)
-        assert series._MEMO.get() is outer
+        assert _MEMO.get() is outer
         assert outer == kept
-    assert series._MEMO.get() is None
+    assert _MEMO.get() is None
     with pytest.raises(RuntimeError):
         with _reuse():
             gf_expand("r-lah", 4, k=1, r=1)
             raise RuntimeError("raised inside the scope")
-    assert series._MEMO.get() is None
+    assert _MEMO.get() is None
 
 
 def test_faa_di_bruno_checks():
