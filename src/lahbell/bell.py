@@ -173,26 +173,43 @@ FACTORIALS = SequenceSpec.factorials()
 def _exponent_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """Dense vectors (j_1, ..., j_n) with sum(i * j_i) = n, largest-first.
 
-    A vector is complete once its weight is used up, so the recursion stops
-    there rather than walking the remaining slots at zero.
+    One loop walks the slots as an explicit stack, with no generator frame
+    per slot: slot i holds its value in buf[i - 1] and the weight left on
+    entering it in left[i], and each step either enters the next slot at
+    its largest value or lowers the deepest slot still above zero.  A vector
+    is complete once its weight is used up, and a slot is entered only when
+    the weight it gets needs two units or more on the slots from there on,
+    so no later slot is walked at zero.
     """
     if n == 0:
         yield ()
         return
     buf = [0] * n
-
-    def rec(i: int, weight: int) -> Iterator[tuple[int, ...]]:
-        # weight > 0; the slots after i are zero in buf
-        for v in range(weight // i, -1, -1):
-            rest = weight - v * i
-            buf[i - 1] = v
-            if not rest:
-                yield tuple(buf)
-            elif rest > i:  # the later slots i+1..n cannot hold less than i+1
-                yield from rec(i + 1, rest)
-        buf[i - 1] = 0
-
-    yield from rec(1, n)
+    left = [0] * (n + 1)
+    i, w = 1, n  # the deepest slot set, and the weight left on entering it
+    left[1] = buf[0] = n
+    while True:
+        rest = w - buf[i - 1] * i
+        if not rest:
+            yield tuple(buf)
+        elif rest > 2 * i + 1:
+            i += 1
+            left[i] = w = rest
+            buf[i - 1] = rest // i
+            continue
+        elif rest > i:
+            # the later slots i+1..n cannot hold less than i+1, and two units
+            # on them weigh at least 2i+2, so one unit on slot rest is the
+            # only way to finish
+            buf[rest - 1] = 1
+            yield tuple(buf)
+            buf[rest - 1] = 0
+        while not buf[i - 1]:
+            i -= 1
+            if not i:
+                return
+        buf[i - 1] -= 1
+        w = left[i]
 
 
 @functools.cache

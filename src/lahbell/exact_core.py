@@ -23,18 +23,20 @@ sums and the series; the tests check both recurrences against the walk.
 _check_nonnegative_int is the package's one rule for a count argument (an n,
 k, r, rho, order, exponent or index): a bool or any other non-int raises
 TypeError and a negative int raises ValueError, each naming the parameter.
+An exact int takes one type test and one sign test.
 
 _reuse() is the package's one reuse scope.  While it is open, the one dict
 _MEMO holds keeps the witness streams, read by partitions._witness_runs for
 the witness sums in bell and for the routes lah_via_pi and rlah_via_lambda;
-the slot and side tables of the witness sums, where a uniform side keys its
-fill count under a reserved negative code; the r-part sums of
-rlah_via_lambda, ints it multiplies in; and the head and tail series of
-gf_expand in series.  A later call with the same inputs reads them instead
-of building them again.  The scope keeps inputs only, never a constructor's,
-a route's or gf_expand's result, so a value that the verifier compares is
-computed afresh on each side.  Outside a scope _MEMO holds None and every
-call builds what it needs and drops it when it returns.
+the r-part lists of the paired streams, one table per rho; the slot and
+side tables of the witness sums, where a uniform side keys its fill count
+under a reserved negative code; the r-part sums of rlah_via_lambda, ints it
+multiplies in; and the head and tail series of gf_expand in series.  A
+later call with the same inputs reads them instead of building them again.
+The scope keeps inputs only, never a constructor's, a route's or
+gf_expand's result, so a value that the verifier compares is computed
+afresh on each side.  Outside a scope _MEMO holds None and every call
+builds what it needs and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def _reuse():
 def _check_nonnegative_int(**values: int) -> None:
     """TypeError unless each value is an int and not a bool; ValueError if negative."""
     for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
+        # an exact int skips the two isinstance tests; a bool is not one
+        if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")

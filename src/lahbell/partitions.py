@@ -20,15 +20,27 @@ golden tests.
 One private generator, _paired_parts, produces both streams:
 enumerate_lambda passes its pairs through, and enumerate_pi takes the
 rho = 0 stream, whose r-parts are empty, and pads each k-part to length
-n - k + 1.  The generator fills slots from the lowest index upward and stops
-as soon as no units are left: every later slot is then forced to zero, so
-the witness is complete and its tuples are slices that end in a nonzero
-entry.  No slot index exceeds n - k + 1, because the other k - 1 blocks
-weigh at least 1 each, and the feasibility bounds use that cap.  Pruning
-changes only how deep the recursion goes, never which witnesses come out or
-in what order.  The r-parts that complete a k-part depend only on the weight
-it leaves, so they are listed once per weight within one call and paired
-with each such k-part.
+n - k + 1.  Its k-parts come from _slot_walk, a single loop over an
+explicit stack of slots, in the manner of the loop-based partition
+generators of TAOCP Vol. 4A, 7.2.1.4: the current values, and the units
+and weight left on entering each slot, sit in plain lists that each step
+changes in place, so a witness passes through no chain of nested frames.
+The walk fills slots from the lowest index upward and stops as soon as no
+units are left: every later slot is then forced to zero, so the witness is
+complete and its tuples are slices that end in a nonzero entry.  No slot
+index exceeds n - k + 1, because the other k - 1 blocks weigh at least 1
+each, and the feasibility bounds use that cap: they give each slot the
+range of values it may take, and the last unit goes straight onto each
+slot it can finish on.  The bounds change only which slots are visited,
+never which witnesses come out or in what order.
+
+An r-part is walked by the same loop from its weightless slot 0.  Every
+r-slot index is at most the weight that the k-part leaves, and that weight
+is at most n - k, below the cap, so the r-parts of a weight depend only on
+rho and the weight (_r_parts).  They are listed once per weight, and every
+k-part that leaves that weight is paired with the one list: once per call
+outside a reuse scope, and once per scope inside one, where the scope's
+dict keeps a table of them per rho.
 
 Every witness-sum route reads its stream through _witness_runs, as runs
 (k_part, r_parts) of witnesses that share a k-part.  Outside a reuse scope
@@ -60,63 +72,106 @@ __all__ = [
 _Parts = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _slot_walk(
+    first: int, units: int, weight: int, cap: int, spare: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each way to put `units` on the slots first..cap, slot i weighing i,
+    as (part, left): the trimmed values of slots first..last and the weight
+    they leave, in descending lexicographic order on the part.
+
+    A part is kept when the weight it leaves fits on `spare` more units of
+    at most cap each.  The walk keeps the slots on a stack: slot i holds its
+    value in vals[i] and, in units_in[i], weight_in[i] and lows[i], the units
+    and weight left on entering it and the lowest value the bounds let it
+    take.  Each step enters the next slot at its highest admissible value,
+    or lowers the deepest slot that is still above its lowest.  The last
+    unit is not walked: the slots it can finish on are read off the bounds.
+    """
+    vals = [0] * (cap + 1)
+    units_in = [0] * (cap + 1)
+    weight_in = [0] * (cap + 1)
+    lows = [0] * (cap + 1)
+    i, u, w = first - 1, units, weight  # the deepest slot set, and what it leaves
+    while True:
+        j = i + 1
+        if u == 1:
+            # slot s finishes the part when it is at most cap and leaves no
+            # more than the spare units can take; later slots sort lower
+            lo = w - spare * cap
+            if lo < j:
+                lo = j
+            hi = w if w < cap else cap
+            if lo <= hi:
+                head = tuple(vals[first:j])
+                for s in range(lo, hi + 1):
+                    yield head + (0,) * (s - j) + (1,), w - s
+        elif u:
+            if j < cap:
+                hi = u if not j or w // j >= u else w // j
+                # what is left must fit on the later slots and the spare units
+                top = ((u + spare) * cap - w) // (cap - j)
+                if top < hi:
+                    hi = top
+                # and each unit left after slot j weighs at least j + 1
+                lo = u * (j + 1) - w
+                if lo < 0:
+                    lo = 0
+            else:
+                # no slot follows, so the last one takes every unit left
+                lo = u
+                hi = u if w // j >= u and w <= (u + spare) * cap else -1
+            if lo <= hi:
+                i = j
+                units_in[i], weight_in[i], lows[i] = u, w, lo
+                vals[i] = hi
+                u -= hi
+                w -= hi * i
+                continue
+        else:
+            yield tuple(vals[first:j]), w
+        while i >= first and vals[i] == lows[i]:
+            i -= 1
+        if i < first:
+            return
+        v = vals[i] = vals[i] - 1
+        u = units_in[i] - v
+        w = weight_in[i] - v * i
+
+
+def _r_parts(rho: int, weight: int) -> list[tuple[int, ...]]:
+    """The trimmed r-parts over rho >= 1 units that weigh `weight`, in stream order.
+
+    No r-slot index exceeds the weight, so the cap weight + 1 never binds
+    and the list depends on rho and the weight alone.
+    """
+    return [part for part, _ in _slot_walk(0, rho, weight, weight + 1, 0)]
+
+
 def _paired_parts(n: int, k: int, rho: int) -> Iterator[_Parts]:
-    """Trimmed (k_part, r_part) tuples for (n, k, rho), in stream order."""
+    """Trimmed (k_part, r_part) tuples for (n, k, rho), in stream order.
+
+    The k-parts come from one slot-stack walk over the k-slots 1..n - k + 1.
+    Every r-slot index is at most the weight a k-part leaves, at most n - k
+    and so below the cap, so the r-parts of that weight depend on rho and
+    the weight alone.  Each such list is made once per call outside a reuse
+    scope, and once per scope inside one, where it is kept in rho's table.
+    """
     _check_nonnegative_int(n=n, k=k, rho=rho)
     if k > n:
         return
-    cap = n - k + 1
-    kbuf = [0] * cap
-    rbuf = [0] * cap
-
-    def rec_r(i: int, units: int, weight: int) -> Iterator[tuple[int, ...]]:
-        # units > 0; the r-slots after i are zero in rbuf
-        hi = units if i == 0 else min(units, weight // i)
-        for v in range(hi, -1, -1):
-            rest_units = units - v
-            rest_weight = weight - v * i
-            if rest_weight > rest_units * cap or rest_weight < rest_units * (i + 1):
-                continue
-            rbuf[i] = v
-            if rest_units:
-                yield from rec_r(i + 1, rest_units, rest_weight)
-            else:
-                yield tuple(rbuf[: i + 1])
-        rbuf[i] = 0
-
-    # weight -> its r-parts in stream order; every k-part that leaves the
-    # same weight takes the same list, so each is enumerated once per call
-    r_parts: dict[int, list[tuple[int, ...]]] = {}
-
-    def r_side(k_part: tuple[int, ...], weight: int) -> Iterator[_Parts]:
-        parts = r_parts.get(weight)
-        if parts is None:
-            if rho:
-                parts = list(rec_r(0, rho, weight))
-            else:
-                parts = [()] if weight == 0 else []
-            r_parts[weight] = parts
-        for r_part in parts:
-            yield k_part, r_part
-
-    def rec_k(i: int, units: int, weight: int) -> Iterator[_Parts]:
-        # units > 0; the k-slots after i are zero in kbuf
-        for v in range(min(units, weight // i), -1, -1):
-            rest_units = units - v
-            rest_weight = weight - v * i
-            if rest_weight > (rest_units + rho) * cap or rest_weight < rest_units * (i + 1):
-                continue
-            kbuf[i - 1] = v
-            if not rest_units:
-                yield from r_side(tuple(kbuf[:i]), rest_weight)
-            elif i < cap:
-                yield from rec_k(i + 1, rest_units, rest_weight)
-        kbuf[i - 1] = 0
-
-    if k:
-        yield from rec_k(1, k, n)
-    else:
-        yield from r_side((), n)
+    if rho:
+        # the key is taken after the check: True hashes like 1
+        kept = _MEMO.get()
+        r_table = {} if kept is None else kept.setdefault(("r-parts", rho), {})
+    for k_part, left in _slot_walk(1, k, n, n - k + 1, rho):
+        if rho:
+            parts = r_table.get(left)
+            if parts is None:
+                parts = r_table[left] = _r_parts(rho, left)
+            for r_part in parts:
+                yield k_part, r_part
+        elif not left:
+            yield k_part, ()
 
 
 def enumerate_pi(n: int, k: int) -> Iterator[tuple[int, ...]]:

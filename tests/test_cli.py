@@ -574,3 +574,14 @@ def test_module_form_runs_the_cli():
     assert (done.returncode, done.stdout) == (0, "36\n")
     refused = module("value", "lah", "--n", "4")
     assert refused.returncode == 2 and "--k is required" in refused.stderr
+
+
+def test_package_form_prints_what_main_prints(capsys):
+    argv = ["value", "lah", "--n", "4", "--k", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "lahbell", *argv], capture_output=True, env=env, timeout=60
+    )
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert (done.returncode, done.stdout) == (code, out.encode())

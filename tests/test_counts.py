@@ -19,6 +19,7 @@ from lahbell.bell import (
     moments_from_cumulants,
 )
 from lahbell.exact_core import (
+    _check_nonnegative_int,
     binomial,
     factorial,
     factorials_upto,
@@ -107,3 +108,20 @@ def test_valid_counts_are_taken(entry, call, valid, names):
 def test_a_bad_count_is_refused_by_name(call, kwargs, error, pattern):
     with pytest.raises(error, match=pattern):
         call(**kwargs)
+
+
+class _Count(int):
+    """An int subclass: taken as the int it is, unlike bool."""
+
+
+def test_the_check_takes_exact_ints_and_int_subclasses_alike():
+    _check_nonnegative_int(a=0, b=7, c=_Count(3))
+    for value, error, message in [
+        (-1, ValueError, "^c must be nonnegative, got -1$"),
+        (_Count(-2), ValueError, "^c must be nonnegative, got -2$"),
+        (False, TypeError, "^c must be an int, got bool$"),
+        (1.0, TypeError, "^c must be an int, got float$"),
+        ("1", TypeError, "^c must be an int, got str$"),
+    ]:
+        with pytest.raises(error, match=message):
+            _check_nonnegative_int(a=0, b=7, c=value)

@@ -7,11 +7,13 @@ and compare as sets, then check the generator's ordering separately.
 import hashlib
 import itertools
 import operator
+from collections import Counter
 
 import pytest
 
+from lahbell import partitions
 from lahbell.bell import _exponent_vectors
-from lahbell.exact_core import _reuse, lah, rlah
+from lahbell.exact_core import _MEMO, _reuse, lah, rlah
 from lahbell.partitions import (
     enumerate_lambda,
     enumerate_pi,
@@ -195,6 +197,39 @@ def test_witness_routes_agree_in_and_out_of_a_reuse_scope():
     assert fresh_lambda == {(n, k, r): rlah(n, k, r) for n, k, r in fresh_lambda}
 
 
+def test_lambda_streams_agree_in_and_out_of_a_reuse_scope(monkeypatch):
+    """Inside a scope each (rho, weight) r-part list is made once and kept in
+    rho's own table; every stream must still be the fresh one, whatever order
+    the calls come in."""
+    grid = [(n, k, rho) for n in range(15) for k in range(n + 2) for rho in range(7)]
+    fresh = {key: list(enumerate_lambda(*key)) for key in grid}
+    listed = Counter()
+    r_parts = partitions._r_parts
+
+    def counted(rho, weight):
+        listed[rho, weight] += 1
+        return r_parts(rho, weight)
+
+    monkeypatch.setattr(partitions, "_r_parts", counted)
+    list(enumerate_lambda(6, 2, 2))
+    list(enumerate_lambda(6, 2, 2))
+    assert listed[2, 4] == 2, "outside a scope the lists are made per call"
+    high_rho_first = sorted(grid, key=lambda key: (-key[2], key[0] % 2, key[0], key[1]))
+    for order in (high_rho_first, grid[::-1]):
+        listed.clear()
+        with _reuse():
+            for key in order:
+                assert list(enumerate_lambda(*key)) == fresh[key], key
+            tables = {key[1]: table for key, table in _MEMO.get().items() if key[0] == "r-parts"}
+            assert set(tables) == set(range(1, 7))
+            for rho, table in tables.items():
+                for weight, parts in table.items():
+                    assert parts == r_parts(rho, weight), (rho, weight)
+            with pytest.raises(TypeError, match="^rho must be an int, got bool"):
+                list(enumerate_lambda(3, 1, True))
+        assert set(listed.values()) == {1}
+
+
 # -- streams pinned against a brute-force reference -------------------------
 #
 # The reference filters itertools.product over the slot ranges and sorts the
@@ -301,3 +336,24 @@ def test_streams_match_recorded_digest():
                 for kp, rp in enumerate_lambda(n, k, rho):
                     digest.update(f"LambdaWitness(k_part={kp!r}, r_part={rp!r})".encode())
     assert digest.hexdigest() == STREAM_DIGEST
+
+
+# sha256 over the repr of every _exponent_vectors(n) vector for n <= 26 and,
+# after them, of every enumerate_lambda(22, k, rho) witness for k <= 23 and
+# rho <= 6: 11,732 vectors and 131,557 witnesses, recorded from enumerators
+# that recursed one generator frame per slot.  These are the sizes of the
+# large benchmark poly calls, where the slot cap and the feasibility bounds
+# prune deeper than the brute-force and digest tests above reach.
+LARGE_STREAM_DIGEST = "c09c7f01d301b7600fe39f8b585d4ed7576588a4d3a776ed560224650c08c491"
+
+
+def test_large_streams_match_recorded_digest():
+    digest = hashlib.sha256()
+    for n in range(27):
+        for vector in _exponent_vectors(n):
+            digest.update(repr(vector).encode())
+    for k in range(24):
+        for rho in range(7):
+            for witness in enumerate_lambda(22, k, rho):
+                digest.update(repr(witness).encode())
+    assert digest.hexdigest() == LARGE_STREAM_DIGEST

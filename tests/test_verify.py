@@ -447,3 +447,18 @@ def test_a_wrong_kept_r_part_sum_fails_corollary6_alone(monkeypatch):
         (item.identity, item.counterexample) for item in run_suites("all", 3, 1) if not item.passed
     ]
     assert failed == [(C6, "n=0 k=0 r=1: 2 vs 1")]
+
+
+def test_a_fault_in_the_shared_r_part_lists_is_reported(monkeypatch):
+    """Every paired stream of a run reads one r-part list per (rho, weight),
+    so a list cut short must be caught by the closed forms and the series,
+    not hidden by a route compared with itself."""
+    r_parts = partitions._r_parts
+
+    def cut_short(rho, weight):
+        parts = r_parts(rho, weight)
+        return parts[:-1] if len(parts) > 1 else parts
+
+    monkeypatch.setattr(partitions, "_r_parts", cut_short)
+    failed = {item.suite for item in run_suites("all", 6, 2) if not item.passed}
+    assert {"corollary6", "theorem5"} <= failed
