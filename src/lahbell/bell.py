@@ -16,9 +16,10 @@ The six witness-sum constructors share one term loop, _witness_sum.  It
 reads a plain witness as a paired one with an empty r-part, so every
 constructor differs only in where its witnesses come from and in the
 coefficient rule: with or without the (i!)^v block weights.  The loop reads
-its witnesses as runs (k_part, r_parts) of witnesses that share a k-part,
-from partitions._witness_runs, the run reader it shares with the routes
-lah_via_pi and rlah_via_lambda.  It keeps, per side, a table of slot terms
+its witnesses as the enumerator yields them, through partitions._witnesses,
+the reader it shares with the routes lah_via_pi and rlah_via_lambda, and
+works out a k-part's side again only when the k-part is not the object the
+previous witness had.  It keeps, per side, a table of slot terms
 (i, v) -> (monomial pairs, int factor, coefficient divisor), each read from
 the spec on first use, and next to it a poly._FirstUse table of whole-part
 sides, part -> the same three fields for the part.  A side over a uniform
@@ -35,13 +36,13 @@ multiplies each group by its fills' powers, taken with ** and kept nowhere:
 the uniform fills that verify passes are one term each, which ** raises in
 one step.
 
-Outside a reuse scope (exact_core._reuse) the witness runs are read lazily,
-the side of each k-part is worked out once per run and that of each r-part
-once per call, and the tables are built for the call and dropped when it
-returns.  Inside one, which the verifier opens once per run, the first call
-keeps its witness stream under (enumerator, n, k, rho) and its tables under
-(spec, shift, block weights), and later calls read them, so each side is
-worked out once per scope.  Only these inputs are kept, never a
+Outside a reuse scope (exact_core._reuse) the witnesses are read lazily,
+the side of each k-part is worked out once per k-part and that of each
+r-part once per call, and the tables are built for the call and dropped
+when it returns.  Inside one, which the verifier opens once per run, the
+first call keeps its witness stream under (enumerator, n, k, rho) and its
+tables under (spec, shift, block weights), and later calls read them, so
+each side is worked out once per scope.  Only these inputs are kept, never a
 constructor's result.
 complete_r_lah_bell adds x^k times each partial polynomial straight into
 its total, scaled by the int x^k when x is a constant and multiplied in
@@ -62,6 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence, Union
 
 from .exact_core import (
@@ -73,7 +75,7 @@ from .exact_core import (
     factorial,
     factorials_upto,
 )
-from .partitions import _witness_runs, enumerate_lambda, enumerate_pi
+from .partitions import _witnesses, enumerate_lambda, enumerate_pi
 from .poly import (
     ONE,
     ZERO,
@@ -319,22 +321,28 @@ def _witness_sum(
 
     No polynomial is built per witness.  Each witness joins the sides of
     its k-part and of its r-part into one monomial key, and adds an int
-    coefficient under it.  Inside a reuse scope every side comes from the
-    scope's side tables, so it is worked out once per scope; outside one the
-    side of a k-part is worked out once per run, and that of an r-part once
-    per call.  How the pairs join is fixed once per call, so that a joined
-    key stays code-sorted: a numeric side has no pairs, and a uniform side
-    only its fill pair, whose negative code sorts first.  When the k side's
-    lowest code sorts below the r side's, or either side has no pairs, the
-    join is one concatenation; otherwise it is one _merge.  Without a
-    uniform spec the pairs-keyed dict is the polynomial.  With one, the keys
-    are regrouped by their leading fill pairs, each group is multiplied by
-    its fills raised to their counts, and the groups are summed.
+    coefficient under it.  A k-part's side is looked up again only when the
+    k-part is not the previous witness's object: an enumerator yields one
+    object for all of a k-part's witnesses.  Inside a reuse scope every side
+    comes from the scope's side tables, so it is worked out once per scope;
+    outside one the side of a k-part is worked out once per k-part, and
+    that of an r-part once per call.  How the pairs join is fixed once per
+    call, so that a joined key stays code-sorted: a numeric side has no
+    pairs, and a uniform side only its fill pair, whose negative code sorts
+    first.  When the k side's lowest code sorts below the r side's, or
+    either side has no pairs, the join is one concatenation; otherwise it
+    is one _merge.  Without a uniform spec the pairs-keyed dict is the
+    polynomial.  With one, the keys are regrouped by their leading fill
+    pairs, each group is multiplied by its fills raised to their counts, and
+    the groups are summed.
     """
     n, k, rho = (*args, 0, 0)[:3]
     _check_nonnegative_int(n=n, rho=rho, k=k)
     kept = _MEMO.get()
-    runs = _witness_runs(kept, enumerator, args)
+    paired = len(args) == 3
+    witnesses = _witnesses(kept, enumerator, args)
+    if not paired:
+        witnesses = zip(witnesses, repeat(()))
     memo = {} if kept is None else kept  # outside a scope nothing outlives the call
     k_slots, k_sides = _tables(memo, a, 0, block_weights)
     r_slots, r_sides = _tables(memo, b, 1, block_weights)
@@ -342,19 +350,21 @@ def _witness_sum(
     # k sides would cost more than it saves
     k_side = k_slots.side if kept is None else k_sides.__getitem__
     lead_a, lead_b = k_slots.lead, r_slots.lead
-    merge = len(args) == 3 and lead_a is not None and lead_b is not None and lead_a >= lead_b
+    merge = paired and lead_a is not None and lead_b is not None and lead_a >= lead_b
     num = math.factorial(n) * math.factorial(rho)
     terms: dict[tuple, int] = {}
-    for k_part, r_parts in runs:
-        k_pairs, k_factor, k_weight = k_side(k_part)
-        for r_part in r_parts:
-            r_pairs, r_factor, r_weight = r_sides[r_part]
-            key = _merge(k_pairs, r_pairs) if merge else k_pairs + r_pairs
-            coeff, rem = divmod(num, k_weight * r_weight)
-            if rem:
-                raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
-            coeff *= k_factor * r_factor
-            terms[key] = terms.get(key, 0) + coeff
+    k_last = None
+    for k_part, r_part in witnesses:
+        if k_part is not k_last:
+            k_last = k_part
+            k_pairs, k_factor, k_weight = k_side(k_part)
+        r_pairs, r_factor, r_weight = r_sides[r_part]
+        key = _merge(k_pairs, r_pairs) if merge else k_pairs + r_pairs
+        coeff, rem = divmod(num, k_weight * r_weight)
+        if rem:
+            raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
+        coeff *= k_factor * r_factor
+        terms[key] = terms.get(key, 0) + coeff
     if not all(terms.values()):
         terms = {pairs: coeff for pairs, coeff in terms.items() if coeff}
     if a.kind != "uniform" and b.kind != "uniform":

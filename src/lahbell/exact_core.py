@@ -23,16 +23,18 @@ sums and the series; the tests check both recurrences against the walk.
 _check_nonnegative_int is the package's one rule for a count argument (an n,
 k, r, rho, order, exponent or index): a bool or any other non-int raises
 TypeError and a negative int raises ValueError, each naming the parameter.
-An exact int takes one type test and one sign test.
+An exact int takes one type test and one sign test.  binomial's k, which
+may be negative, takes the type half of the rule alone (_check_int).
 
 _reuse() is the package's one reuse scope.  While it is open, the one dict
-_MEMO holds keeps the witness streams, read by partitions._witness_runs for
-the witness sums in bell and for the routes lah_via_pi and rlah_via_lambda;
-the r-part lists of the paired streams, one table per rho; the slot and
-side tables of the witness sums, where a uniform side keys its fill count
-under a reserved negative code; the r-part sums of rlah_via_lambda, ints it
-multiplies in; and the head and tail series of gf_expand in series.  A
-later call with the same inputs reads them instead of building them again.
+_MEMO holds keeps the witness streams, each as the enumerator yielded it,
+read by partitions._witnesses for the witness sums in bell and for the
+routes lah_via_pi and rlah_via_lambda; the r-part lists of the paired
+streams, one table per rho; the slot and side tables of the witness sums,
+where a uniform side keys its fill count under a reserved negative code;
+and the head and tail series of gf_expand in series.  Every key is a tuple
+that starts with its kind.  A later call with the same inputs reads them
+instead of building them again.
 The scope keeps inputs only, never a constructor's, a route's or
 gf_expand's result, so a value that the verifier compares is computed
 afresh on each side.  Outside a scope _MEMO holds None and every call
@@ -98,12 +100,18 @@ def _reuse():
         _MEMO.reset(token)
 
 
+def _check_int(name: str, value: int) -> None:
+    """TypeError unless value is an int and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_nonnegative_int(**values: int) -> None:
     """TypeError unless each value is an int and not a bool; ValueError if negative."""
     for name, value in values.items():
         # an exact int skips the two isinstance tests; a bool is not one
-        if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if type(value) is not int:
+            _check_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
@@ -124,8 +132,12 @@ def factorials_upto(m: int) -> list[int]:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0, defined as 0 whenever k < 0 or k > n."""
+    """C(n, k) for n >= 0, defined as 0 whenever k < 0 or k > n.
+
+    k must be an int and not a bool, but may be negative.
+    """
     _check_nonnegative_int(n=n)
+    _check_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

@@ -42,17 +42,20 @@ k-part that leaves that weight is paired with the one list: once per call
 outside a reuse scope, and once per scope inside one, where the scope's
 dict keeps a table of them per rho.
 
-Every witness-sum route reads its stream through _witness_runs, as runs
-(k_part, r_parts) of witnesses that share a k-part.  Outside a reuse scope
-(exact_core._reuse) the runs are read lazily from a fresh enumeration;
-inside one, the first reader keeps the stream in the scope's dict under
-(enumerator, n, k, rho) and later readers walk the kept runs, so the
-constructors in bell and the routes lah_via_pi and rlah_via_lambda share one
-enumeration per stream and scope.  Each route passes the enumerator it looks
-up by name in its own module at call time, so a wrapper put on that name
-still sees every enumeration.  rlah_via_lambda also keeps, per scope, the
-int sum of (2r)!/prod(r_i!) over each shared r_parts tuple: an input worked
-out once, like a side of the witness sums in bell, never a compared value.
+Every witness-sum route reads its stream through _witnesses, as the
+enumerator yields it.  Outside a reuse scope (exact_core._reuse) that is a
+fresh enumeration, read lazily; inside one, the first reader keeps the
+stream in the scope's dict under (enumerator, n, k, rho), a paired stream
+as its two columns, and later readers read the kept one, so the
+constructors in bell and the routes lah_via_pi and rlah_via_lambda share
+one enumeration per stream and scope.  Each route passes the enumerator it
+looks up by name in its own module at call time, so a wrapper put on that
+name still sees every enumeration.  A paired stream yields one k-part
+object for all of that k-part's witnesses, so a reader works out what a
+k-part gives only when the k-part is not the previous witness's object;
+a copy that is equal but not the same object only costs it a recompute.
+rlah_via_lambda works out each r-part's weight (2r)!/prod(r_i!) once per
+call.
 """
 
 from __future__ import annotations
@@ -194,59 +197,26 @@ def enumerate_lambda(n: int, k: int, rho: int) -> Iterator[_Parts]:
     yield from _paired_parts(n, k, rho)
 
 
-_Run = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+def _witnesses(kept: dict | None, enumerator: Callable, args: tuple[int, ...]) -> Iterable:
+    """The witnesses of enumerator(*args), in stream order: read lazily
+    outside a reuse scope, and read once per scope and kept in the scope's
+    dict inside one.
 
-# The r-parts of a plain witness: one, empty.
-_NO_R: tuple[tuple[int, ...], ...] = ((),)
-
-
-def _runs(witnesses: Iterable, paired: bool) -> Iterator[_Run]:
-    """(k_part, r_parts) for each run of consecutive witnesses with one k-part.
-
-    A plain witness is its own run, with one empty r-part.
+    A kept paired stream is two columns, its k-parts and its r-parts, and
+    each column holds the objects the enumerator yielded, so a k-part is
+    still one object for all of its r-parts.  The caller checks the
+    arguments before the lookup, because a bool hashes like the int it
+    equals and would find that int's stream.
     """
-    if not paired:
-        for j in witnesses:
-            yield j, _NO_R
-        return
-    k_run, r_run = None, []
-    for k_part, r_part in witnesses:
-        if k_part != k_run:
-            if r_run:
-                yield k_run, tuple(r_run)
-            k_run, r_run = k_part, []
-        r_run.append(r_part)
-    if r_run:
-        yield k_run, tuple(r_run)
-
-
-def _witness_runs(
-    kept: dict | None, enumerator: Callable, args: tuple[int, ...]
-) -> Iterator[_Run]:
-    """The runs of enumerator(*args): read lazily outside a reuse scope, and
-    read once per scope and kept in the scope's dict inside one.
-
-    A kept stream is two tuples, its k-parts and the r_parts of each run,
-    and equal k-parts and equal r_parts tuples are shared by all the streams
-    kept in the scope, so a kept stream holds few objects of its own.  The
-    caller checks the arguments before the lookup, because a bool hashes
-    like the int it equals and would find that int's stream.
-    """
-    paired = len(args) == 3
     if kept is None:
-        return _runs(enumerator(*args), paired)
+        return enumerator(*args)
+    paired = len(args) == 3
     key = ("witnesses", enumerator, *args)
     stream = kept.get(key)
     if stream is None:
-        # k-parts are tuples of ints and r_parts non-empty tuples of tuples,
-        # so the two kinds never compare equal in the one dict
-        shared = kept.setdefault("parts", {})
-        k_parts, r_runs = [], []
-        for k_part, r_parts in _runs(enumerator(*args), paired):
-            k_parts.append(shared.setdefault(k_part, k_part))
-            r_runs.append(shared.setdefault(r_parts, r_parts))
-        stream = kept[key] = (tuple(k_parts), tuple(r_runs))
-    return zip(*stream)
+        stream = enumerator(*args)
+        stream = kept[key] = tuple(zip(*stream)) if paired else tuple(stream)
+    return zip(*stream) if paired else stream
 
 
 def _multinomial(top: int, part: tuple[int, ...], facts: list[int]) -> int:
@@ -258,42 +228,33 @@ def _multinomial(top: int, part: tuple[int, ...], facts: list[int]) -> int:
     return exact_div(top, denom)
 
 
-def _r_multinomials(r_parts: tuple[tuple[int, ...], ...], facts: list[int]) -> int:
-    """The sum over r_parts of rho!/prod(r_i!), rho being each part's total.
-
-    facts lists the factorials up to rho at least.
-    """
-    rf = facts[sum(r_parts[0])]
-    return sum(_multinomial(rf, r_part, facts) for r_part in r_parts)
-
-
 def lah_via_pi(n: int, k: int) -> int:
     """Partition-sum route to lah(n, k): sum over witnesses of n!/prod(j_i!)."""
     _check_nonnegative_int(n=n, k=k)
     facts = factorials_upto(n)
     nf = facts[n]
-    return sum(
-        _multinomial(nf, j, facts) for j, _ in _witness_runs(_MEMO.get(), enumerate_pi, (n, k))
-    )
+    return sum(_multinomial(nf, j, facts) for j in _witnesses(_MEMO.get(), enumerate_pi, (n, k)))
 
 
 def rlah_via_lambda(n: int, k: int, r: int) -> int:
     """Constraint-sum route to rlah(n, k, r).
 
-    Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses, one
-    run at a time: the k-part's multinomial times the sum of the r-parts'.
-    Within a reuse scope each r_parts tuple's sum is worked out once and
-    kept; outside one, once per call.
+    Sums n!/prod(k_i!) * (2r)!/prod(r_i!) over the (n, k, 2r) witnesses.
+    A k-part's multinomial is worked out again only when the k-part is not
+    the object the previous witness had, and an r-part's, its weight, once
+    per call.
     """
     _check_nonnegative_int(n=n, k=k, r=r)
-    kept = _MEMO.get()
-    r_sums = {} if kept is None else kept.setdefault("r-sums", {})
-    total = 0
     facts = factorials_upto(max(n, 2 * r))
-    nf = facts[n]
-    for k_part, r_parts in _witness_runs(kept, enumerate_lambda, (n, k, 2 * r)):
-        r_sum = r_sums.get(r_parts)
-        if r_sum is None:
-            r_sum = r_sums[r_parts] = _r_multinomials(r_parts, facts)
-        total += _multinomial(nf, k_part, facts) * r_sum
+    nf, rf = facts[n], facts[2 * r]
+    r_weights: dict[tuple[int, ...], int] = {}
+    total = 0
+    k_last = None
+    for k_part, r_part in _witnesses(_MEMO.get(), enumerate_lambda, (n, k, 2 * r)):
+        if k_part is not k_last:
+            k_last, k_weight = k_part, _multinomial(nf, k_part, facts)
+        r_weight = r_weights.get(r_part)
+        if r_weight is None:
+            r_weight = r_weights[r_part] = _multinomial(rf, r_part, facts)
+        total += k_weight * r_weight
     return total

@@ -251,8 +251,7 @@ class Monomial:
         return Monomial._raw(_merge(self._pairs, other._pairs))
 
     def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
+        _check_nonnegative_int(exponent=k)
         if k == 0:
             return _UNIT
         return Monomial._raw(tuple((c, e * k) for c, e in self._pairs))
@@ -384,8 +383,7 @@ class SparsePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SparsePolynomial":
-        if k < 0:
-            raise ValueError("polynomial exponent must be nonnegative")
+        _check_nonnegative_int(exponent=k)
         if k == 0:
             return ONE
         if k == 1:
@@ -564,6 +562,7 @@ class PolyAccumulator:
         self._data: dict[tuple, int] = {}
 
     def add(self, poly: SparsePolynomial, scale: int = 1) -> None:
+        _check_coefficient(scale)
         if not scale:
             return
         data = self._data

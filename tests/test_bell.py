@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lahbell import bell
+from lahbell import bell, partitions
 from lahbell.bell import (
     FACTORIALS,
     ONES,
@@ -44,6 +44,7 @@ from lahbell.exact_core import (
     r_lah_bell_number,
     rlah,
 )
+from lahbell.partitions import rlah_via_lambda
 from lahbell.poly import (
     SCALAR_X,
     Monomial,
@@ -650,6 +651,46 @@ def test_a_scope_checks_counts_before_reading_a_kept_stream():
             incomplete_r_bell(3, True, 1, A, B)
         with pytest.raises(TypeError, match="^rho must be an int, got bool"):
             incomplete_r_bell(3, 1, True, A, B)
+
+
+def test_a_k_part_is_read_by_value_not_by_object(monkeypatch):
+    """The witness sums and rlah_via_lambda work a k-part out again only when
+    it is not the object the previous witness had, which the enumerators
+    make one per k-part.  Enumerators that yield a new copy of each k-part
+    must give the same values, in a reuse scope and outside one."""
+    grid = [(n, k, r) for n in range(9) for k in range(n + 2) for r in range(3)]
+
+    def values():
+        return [
+            (
+                incomplete_r_lah_bell(n, k, r, A, B),
+                incomplete_r_bell(n, k, r, A, B),
+                incomplete_bell(n, k, X),
+                rlah_via_lambda(n, k, r),
+            )
+            for n, k, r in grid
+        ]
+
+    want = values()
+    real_pi, real_lambda = partitions.enumerate_pi, partitions.enumerate_lambda
+
+    def copied_pi(n, k):
+        for j in real_pi(n, k):
+            yield tuple(list(j))
+
+    def copied_lambda(n, k, rho):
+        for k_part, r_part in real_lambda(n, k, rho):
+            yield tuple(list(k_part)), r_part
+
+    for owner in (bell, partitions):
+        monkeypatch.setattr(owner, "enumerate_pi", copied_pi)
+        monkeypatch.setattr(owner, "enumerate_lambda", copied_lambda)
+    [(k_part, _), (again, _)] = list(bell.enumerate_lambda(3, 1, 2))[:2]
+    assert k_part == again and k_part is not again
+    assert values() == want
+    with _reuse():
+        for _ in range(2):
+            assert values() == want
 
 
 def test_a_coefficient_that_is_not_whole_is_refused(monkeypatch):

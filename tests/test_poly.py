@@ -12,6 +12,7 @@ from lahbell.poly import (
     SCALAR_X,
     ZERO,
     Monomial,
+    PolyAccumulator,
     SparsePolynomial,
     Variable,
     const,
@@ -119,6 +120,17 @@ def test_exponents_that_are_not_ints_are_refused():
         Monomial({Variable("x", 1): 0.5})
     with pytest.raises(TypeError, match="^exponent must be an int, got bool"):
         Monomial({Variable("x", 1): True})
+    # a power or a scale that is not an int would leave a float coefficient
+    x1 = var("x1")
+    for power in (lambda: (3 * x1) ** 1.5, lambda: x1**0.5, lambda: Monomial({}) ** 0.5):
+        with pytest.raises(TypeError, match="^exponent must be an int, got float"):
+            power()
+    for power in (lambda: (3 * x1) ** True, lambda: Monomial({Variable("x", 1): 2}) ** True):
+        with pytest.raises(TypeError, match="^exponent must be an int, got bool"):
+            power()
+    for scale in (1.5, True):
+        with pytest.raises(TypeError, match="^polynomial coefficients must be int"):
+            PolyAccumulator().add(x1, scale)
 
 
 def test_a_bool_equals_no_polynomial():

@@ -1,7 +1,9 @@
 """Verification harness semantics: registry, bounds, result shape, and that
 every identity reports a fault in each route it compares."""
 
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -400,6 +402,20 @@ def test_a_verify_run_works_out_each_side_once(monkeypatch):
     assert sides and set(sides.values()) == {2}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _documented_kinds():
+    """The key kinds that open the bullets of README's list of what a run keeps."""
+    text = README.read_text()
+    start = text.index("Within one `verify` run")
+    kinds = set()
+    for line in text[start : text.index("\n\n", start)].splitlines():
+        if line.startswith("- "):
+            kinds.update(re.findall(r"`([^`]+)`", line.partition(":")[0]))
+    return kinds
+
+
 def test_the_reuse_scope_spans_a_run_and_closes_after_it(monkeypatch):
     seen = []
     oracle = verify._SUITES["series-oracle"]
@@ -413,11 +429,13 @@ def test_the_reuse_scope_spans_a_run_and_closes_after_it(monkeypatch):
     monkeypatch.setitem(verify._SUITES, "series-oracle", inspect)
     assert all(item.passed for item in run_suites("all", 3, 1))
     assert _MEMO.get() is None
-    # the last suite still sees what the earlier ones kept
+    # the last suite still sees what the earlier ones kept, and every kind
+    # of kept table is one that README's list names
     [kept] = seen
-    assert {key[0] for key in kept if isinstance(key, tuple)} >= {
-        "witnesses", "slots", "head", "tail"
-    }
+    assert all(isinstance(key, tuple) for key in kept), "a bare key was kept"
+    kinds = {key[0] for key in kept}
+    assert kinds == _documented_kinds()
+    assert kinds == {"witnesses", "r-parts", "slots", "head", "exp", "tail"}
 
     def fail(n_max, r_max):
         raise RuntimeError("raised inside a suite")
@@ -439,14 +457,16 @@ def test_a_run_keeps_its_inputs_in_the_scope_its_caller_opened(capsys):
     assert _MEMO.get() is None
 
 
-def test_a_wrong_kept_r_part_sum_fails_corollary6_alone(monkeypatch):
-    """The r-part sums kept in a run belong to corollary6's witness route
-    only: one made wrong fails that identity and no other."""
-    _break(monkeypatch, partitions, "_r_multinomials", only=lambda args: args[0] == ((2,),))
+def test_a_wrong_r_part_weight_fails_corollary6_alone(monkeypatch):
+    """The r-part weights (2r)!/prod(r_i!) belong to corollary6's witness
+    route only: one made wrong fails that identity and no other.  The weight
+    broken is that of the r-part r_0 = r_1 = 1 at r = 1, over 2!; no k-part
+    multinomial meets that pair, since a k-part (1, 1) has n = 3 over 3!."""
+    _break(monkeypatch, partitions, "_multinomial", only=lambda args: args[:2] == (2, (1, 1)))
     failed = [
         (item.identity, item.counterexample) for item in run_suites("all", 3, 1) if not item.passed
     ]
-    assert failed == [(C6, "n=0 k=0 r=1: 2 vs 1")]
+    assert failed == [(C6, "n=1 k=0 r=1: 3 vs 2")]
 
 
 def test_a_fault_in_the_shared_r_part_lists_is_reported(monkeypatch):
