@@ -44,9 +44,8 @@ first call keeps its witness stream under (enumerator, n, k, rho) and its
 tables under (spec, shift, block weights), and later calls read them, so
 each side is worked out once per scope.  Only these inputs are kept, never a
 constructor's result.
-complete_r_lah_bell adds x^k times each partial polynomial straight into
-its total, scaled by the int x^k when x is a constant and multiplied in
-term by term otherwise, so it builds no product polynomial per k.
+complete_r_lah_bell multiplies x^k times each partial polynomial into its
+total term by term, so it builds no product polynomial per k.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
@@ -69,14 +68,14 @@ from typing import Callable, Iterator, Sequence, Union
 from .exact_core import (
     _MEMO,
     IntegralityError,
+    _check_int,
     _check_nonnegative_int,
     _rlah_walk,
-    exact_div,
     factorial,
-    factorials_upto,
 )
 from .partitions import _witnesses, enumerate_lambda, enumerate_pi
 from .poly import (
+    _INDEXED_FAMILIES,
     ONE,
     ZERO,
     PolyAccumulator,
@@ -111,7 +110,10 @@ _SPEC_KINDS = ("ones", "factorials", "explicit", "symbolic", "uniform")
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Rule producing the i-th input value (i >= 1) for a polynomial family."""
+    """Rule producing the i-th input value (i >= 1) for a polynomial family.
+
+    A spec checks its fields when made: int values, kept as a tuple, a fill
+    made a polynomial, an indexed family, and no field its kind does not read."""
 
     kind: str
     values: tuple[int, ...] = ()
@@ -119,10 +121,24 @@ class SequenceSpec:
     fill: SparsePolynomial | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SPEC_KINDS:
-            raise ValueError(f"unknown sequence kind: {self.kind!r}")
-        if self.kind == "symbolic":
-            Variable(self.family, 1)  # validates the family name
+        kind = self.kind
+        if kind not in _SPEC_KINDS:
+            raise ValueError(f"unknown sequence kind: {kind!r}")
+        values = tuple(self.values)
+        for value in values:
+            _check_int("sequence value", value)
+        object.__setattr__(self, "values", values)
+        for name, reader, given in (
+            ("values", "explicit", values != ()),
+            ("family", "symbolic", self.family != ""),
+            ("fill", "uniform", self.fill is not None),
+        ):
+            if given and kind != reader:
+                raise ValueError(f"kind {kind!r} takes no {name}")
+        if kind == "symbolic" and self.family not in _INDEXED_FAMILIES:
+            raise ValueError(f"unknown symbolic family: {self.family!r}")
+        if kind == "uniform":
+            object.__setattr__(self, "fill", as_poly(self.fill))
 
     @staticmethod
     def ones() -> "SequenceSpec":
@@ -134,10 +150,6 @@ class SequenceSpec:
 
     @staticmethod
     def explicit(values: Sequence[int]) -> "SequenceSpec":
-        values = tuple(values)
-        for value in values:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"sequence values must be int, got {type(value).__name__}")
         return SequenceSpec("explicit", values=values)
 
     @staticmethod
@@ -146,7 +158,7 @@ class SequenceSpec:
 
     @staticmethod
     def uniform(value: Union[SparsePolynomial, int]) -> "SequenceSpec":
-        return SequenceSpec("uniform", fill=as_poly(value))
+        return SequenceSpec("uniform", fill=value)
 
     def at(self, i: int) -> SparsePolynomial:
         """The i-th value as a polynomial (constant for numeric kinds)."""
@@ -164,7 +176,6 @@ class SequenceSpec:
             return const(self.values[i - 1])
         if self.kind == "symbolic":
             return indexed_var(self.family, i)
-        assert self.fill is not None
         return self.fill
 
 
@@ -375,11 +386,7 @@ def _witness_sum(
         while cut < len(pairs) and pairs[cut][0] < 0:
             cut += 1
         by_fills.setdefault(pairs[:cut], {})[pairs[cut:]] = coeff
-    plain = SparsePolynomial._raw(by_fills.pop((), {}))
-    if not by_fills:
-        return plain
     acc = PolyAccumulator()
-    acc.add(plain)
     for fills, data in by_fills.items():
         part = SparsePolynomial._raw(data)
         for code, count in fills:
@@ -467,18 +474,13 @@ def complete_r_lah_bell(
 ) -> SparsePolynomial:
     """Sum over k of x^k times incomplete_r_lah_bell(n, k, r, a, b).
 
-    Each term goes straight into the total: scaled by the int x^k when x is
-    a constant, multiplied in term by term otherwise, so no product
-    polynomial is built for any k.
+    Each term is multiplied into the total term by term, against the
+    running power x^k, so no product polynomial is built for any k.  At a
+    constant x every power is one constant term.
     """
     _check_nonnegative_int(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
-    if not xp.variables():
-        c = xp.as_int()
-        for k in range(n + 1):
-            total.add(incomplete_r_lah_bell(n, k, r, a, b), c**k)
-        return total.build()
     xpow = ONE
     for k in range(n + 1):
         total._add_product(incomplete_r_lah_bell(n, k, r, a, b), xpow, 1)
@@ -533,11 +535,10 @@ def complete_r_lah_bell_expansion(
                     power[i + l]._add_product(y, ybase[l], 1)
         ysums = [p.build() for p in power]
     acc = PolyAccumulator()
-    facts = factorials_upto(n)
     for k in range(n + 1):
         ypart = ysums[n - k]
         if not ypart.is_zero:
-            acc._add_product(complete_lah_bell(k, xs), ypart, exact_div(facts[n], facts[k]))
+            acc._add_product(complete_lah_bell(k, xs), ypart, math.perm(n, n - k))
     return acc.build()
 
 
@@ -546,4 +547,4 @@ def moments_from_cumulants(kappas: Sequence[int], n: int) -> int:
     _check_nonnegative_int(n=n)
     if len(kappas) < n:
         raise ValueError(f"need at least {n} cumulants, got {len(kappas)}")
-    return complete_bell(n, SequenceSpec.explicit(tuple(kappas))).as_int()
+    return complete_bell(n, SequenceSpec.explicit(kappas)).as_int()

@@ -45,7 +45,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
-from .exact_core import _check_nonnegative_int, exact_div
+from .exact_core import _check_int, _check_nonnegative_int, exact_div
 
 __all__ = [
     "Variable",
@@ -343,15 +343,10 @@ class SparsePolynomial:
         raise ValueError(f"polynomial is not constant: {self.to_text()}")
 
     def __add__(self, other: Union["SparsePolynomial", int]) -> "SparsePolynomial":
-        other = as_poly(other)
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = data.get(key, 0) + coeff
-            if total:
-                data[key] = total
-            elif key in data:
-                del data[key]
-        return SparsePolynomial._raw(data)
+        acc = PolyAccumulator()
+        acc._data = dict(self._terms)
+        acc.add(as_poly(other))
+        return acc.build()
 
     __radd__ = __add__
 
@@ -465,8 +460,7 @@ class SparsePolynomial:
             if v not in assignment:
                 raise ValueError(f"no value provided for variable {v.name}")
             value = assignment[v]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"value of {v.name} must be an int, got {type(value).__name__}")
+            _check_int(f"value of {v.name}", value)
             values[v.code] = value
         total = 0
         for pairs, coeff in self._terms.items():

@@ -61,13 +61,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series in t truncated at `order`; coeffs[n] = n! * [t^n]."""
+    """Power series in t truncated at `order`; coeffs[n] = n! * [t^n], a polynomial."""
 
     order: int
     coeffs: tuple[SparsePolynomial, ...]
 
     def __post_init__(self) -> None:
         _check_nonnegative_int(order=self.order)
+        coeffs = tuple(self.coeffs)
+        for c in coeffs:
+            if not isinstance(c, SparsePolynomial):
+                raise TypeError(f"coefficients must be polynomials, got {type(c).__name__}")
+        object.__setattr__(self, "coeffs", coeffs)
         if len(self.coeffs) != self.order + 1:
             raise ValueError(
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}"
@@ -420,21 +425,19 @@ class DerivativeCheck:
         return self.passed
 
 
-def faa_di_bruno_check(m: int, order: int | None = None) -> DerivativeCheck:
+def faa_di_bruno_check(m: int) -> DerivativeCheck:
     """Check the m-th derivative of exp(t/(1-t)) at 0 two independent ways.
 
-    Route one differentiates the series exponential m times and reads the
-    constant term.  Route two evaluates the complete Bell sum at factorial
+    Route one takes the series exponential to order m, differentiates it m
+    times and reads the constant term, lattice entry m, which no higher
+    order changes.  Route two evaluates the complete Bell sum at factorial
     arguments, which is what the chain rule for exp(f) prescribes when every
     derivative of f at 0 is j!.
     """
-    order = m if order is None else order
-    _check_nonnegative_int(m=m, order=order)
+    _check_nonnegative_int(m=m)
     if m < 1:
         raise ValueError("m must be at least 1")
-    if order < m:
-        raise ValueError(f"order {order} is too small for m = {m}")
-    s = exp(from_sequence(ONES, "ordinary", 1, order))
+    s = exp(from_sequence(ONES, "ordinary", 1, m))
     for _ in range(m):
         s = s.derivative()
     series_value = s.coeffs[0].as_int()

@@ -151,6 +151,36 @@ def test_sequence_spec_kinds():
         SequenceSpec("symbolic", family="q")
 
 
+def test_a_spec_checks_every_field_when_made():
+    listed = SequenceSpec("explicit", values=[1, 2, 3])
+    assert listed.values == (1, 2, 3)
+    assert complete_bell(3, listed) == complete_bell(3, SequenceSpec.explicit((1, 2, 3)))
+    filled = SequenceSpec("uniform", fill=3)
+    assert isinstance(filled.fill, SparsePolynomial) and filled.fill == const(3)
+    assert filled == SequenceSpec.uniform(const(3))
+    for make, error, message in [
+        (lambda: SequenceSpec("explicit", values=(1.5,)), TypeError,
+         "^sequence value must be an int, got float$"),
+        (lambda: SequenceSpec("explicit", values=(1, True)), TypeError,
+         "^sequence value must be an int, got bool$"),
+        (lambda: SequenceSpec("uniform"), TypeError, "^cannot treat NoneType as a polynomial$"),
+        (lambda: SequenceSpec("uniform", fill=True), TypeError, "must be int, got bool$"),
+        (lambda: SequenceSpec.symbolic("scalar"), ValueError,
+         "^unknown symbolic family: 'scalar'$"),
+        (lambda: SequenceSpec("symbolic"), ValueError, "^unknown symbolic family: ''$"),
+        (lambda: SequenceSpec("ones", values=(5,)), ValueError,
+         "^kind 'ones' takes no values$"),
+        (lambda: SequenceSpec("factorials", family="x"), ValueError,
+         "^kind 'factorials' takes no family$"),
+        (lambda: SequenceSpec("symbolic", family="x", fill=const(1)), ValueError,
+         "^kind 'symbolic' takes no fill$"),
+        (lambda: SequenceSpec("explicit", values=(1,), family="a"), ValueError,
+         "^kind 'explicit' takes no family$"),
+    ]:
+        with pytest.raises(error, match=message):
+            make()
+
+
 def test_incomplete_bell_matches_recurrence_oracle():
     for n in range(8):
         for k in range(n + 2):
@@ -811,9 +841,9 @@ def test_no_reserved_fill_code_is_left_in_a_witness_sum():
 
 
 def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
-    """x^k times each partial polynomial goes straight into the total: at a
-    constant x no polynomial product is taken, and at a symbolic one only
-    the powers of x, one term each, are."""
+    """x^k times each partial polynomial goes straight into the total, at a
+    constant x as at a symbolic one: the only products taken are the powers
+    of x, x^k times x, so no operand has more than one term."""
     products = []
     multiply = SparsePolynomial.__mul__
 
@@ -821,20 +851,15 @@ def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
         products.append((len(self), len(as_poly(other))))
         return multiply(self, other)
 
-    monkeypatch.setattr(SparsePolynomial, "__mul__", counted)
-    monkeypatch.setattr(SparsePolynomial, "__rmul__", counted)
-    x = var(SCALAR_X)
-    for c in (0, 1, -2, 3):
-        want = sum(
-            (incomplete_r_lah_bell(6, k, 1, A, B) * c**k for k in range(7)), const(0)
-        )
-        products.clear()
-        assert complete_r_lah_bell(6, 1, c, A, B) == want, c
-        assert products == [], c
-    products.clear()
-    got = complete_r_lah_bell(6, 1, x, A, B)
-    assert products and set(products) == {(1, 1)}
-    assert got == sum((x**k * incomplete_r_lah_bell(6, k, 1, A, B) for k in range(7)), const(0))
+    for x in (0, 1, -2, 3, var(SCALAR_X)):
+        want = sum((incomplete_r_lah_bell(6, k, 1, A, B) * x**k for k in range(7)), const(0))
+        with monkeypatch.context() as patched:
+            patched.setattr(SparsePolynomial, "__mul__", counted)
+            patched.setattr(SparsePolynomial, "__rmul__", counted)
+            products.clear()
+            got = complete_r_lah_bell(6, 1, x, A, B)
+        assert got == want, x
+        assert products and max(max(sizes) for sizes in products) <= 1, (x, products)
 
 
 def test_complete_r_lah_bell_expansion_builds_no_product_polynomial(monkeypatch):

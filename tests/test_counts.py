@@ -80,7 +80,7 @@ ENTRIES = [
         "from_sequence", from_sequence,
         {"spec": ONES, "kind": "ordinary", "start": 1, "order": 3}, ("start", "order"),
     ),
-    ("faa_di_bruno_check", faa_di_bruno_check, {"m": 2, "order": 3}, ("m", "order")),
+    ("faa_di_bruno_check", faa_di_bruno_check, {"m": 2}, ("m",)),
     ("Variable", Variable, {"family": "x", "index": 2}, ("index",)),
 ]
 
