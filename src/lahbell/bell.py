@@ -161,7 +161,12 @@ class SequenceSpec:
         return SequenceSpec("uniform", fill=value)
 
     def at(self, i: int) -> SparsePolynomial:
-        """The i-th value as a polynomial (constant for numeric kinds)."""
+        """The i-th value as a polynomial (constant for numeric kinds).
+
+        i is a count from 1: an int and not a bool, else TypeError, and at
+        least 1, else ValueError, whatever the kind."""
+        if type(i) is not int:
+            _check_int("sequence index", i)
         if i < 1:
             raise ValueError(f"sequence index starts at 1, got {i}")
         if self.kind == "ones":
@@ -476,15 +481,17 @@ def complete_r_lah_bell(
 
     Each term is multiplied into the total term by term, against the
     running power x^k, so no product polynomial is built for any k.  At a
-    constant x every power is one constant term.
+    constant x every power is one constant term.  The power stops at x^n,
+    so the call takes n products in all.
     """
     _check_nonnegative_int(n=n, r=r)
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
     for k in range(n + 1):
+        if k:
+            xpow = xpow * xp
         total._add_product(incomplete_r_lah_bell(n, k, r, a, b), xpow, 1)
-        xpow = xpow * xp
     return total.build()
 
 

@@ -35,11 +35,20 @@ text and the sort key of each (code, exponent) pair from a _FirstUse table
 built for it, so each name is decoded once per render, not once per term.
 _FirstUse, a dict that fills each key on its first use, is the package's
 one such table: the witness sums in bell keep their part sides in it too.
+
+substitute_all first analyses its mapping (_analyse): an image that is an
+int times the variable's own copy, or zero, is a rescale, and any other
+image is multiplied out.  A _PreparedMap is a read-only mapping that keeps
+that analysis, with a _FirstUse table of each (code, exponent) pair's scale
+power, so a map applied to many polynomials is analysed once and each term
+is rescaled by one math.prod.  The verifier prepares its weight maps this
+way; any other mapping is analysed by the call it is passed to.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -405,31 +414,21 @@ class SparsePolynomial:
         An image c*v of a variable v's own copy, as in x_i -> i!*x_i, is a
         rescale: each term takes c^e under an unchanged key.  A zero image
         is a rescale by 0, which drops the terms it meets.  Every other
-        image is multiplied out term by term.
+        image is multiplied out term by term.  A _PreparedMap carries this
+        analysis of its images, worked out once when it was made; any other
+        mapping is analysed afresh by this call.
         """
-        scales: dict[int, int] = {}
-        images: dict[int, SparsePolynomial] = {}
-        for v, value in mapping.items():
-            if not isinstance(v, Variable):
-                raise TypeError(f"substitution keys must be Variable, got {type(v).__name__}")
-            image = as_poly(value)
-            own = ((v.code, 1),)
-            if not image:
-                scales[v.code] = 0
-            elif len(image) == 1 and own in image._terms:
-                scales[v.code] = image._terms[own]
-            else:
-                images[v.code] = image
+        if not isinstance(mapping, _PreparedMap):
+            mapping = _PreparedMap(mapping)
         terms = self._terms
-        if scales:
+        if mapping.scales:
+            power = mapping.powers.__getitem__
             terms = {}
             for pairs, coeff in self._terms.items():
-                for c, e in pairs:
-                    scale = scales.get(c)
-                    if scale is not None:
-                        coeff *= scale**e
+                coeff = math.prod(map(power, pairs), start=coeff)
                 if coeff:
                     terms[pairs] = coeff
+        images = mapping.images
         if not images:
             return SparsePolynomial._raw(terms)
         acc = PolyAccumulator()
@@ -541,6 +540,56 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.to_text()!r})"
+
+
+def _analyse(
+    mapping: Mapping[Variable, Union[SparsePolynomial, int]]
+) -> tuple[dict[int, int], dict[int, SparsePolynomial]]:
+    """(scales, images) of a substitution map, each keyed by variable code:
+    scales holds c for an image c*v of v's own copy, and 0 for a zero image;
+    images holds every other image as a polynomial."""
+    scales: dict[int, int] = {}
+    images: dict[int, SparsePolynomial] = {}
+    for v, value in mapping.items():
+        if not isinstance(v, Variable):
+            raise TypeError(f"substitution keys must be Variable, got {type(v).__name__}")
+        image = as_poly(value)
+        own = ((v.code, 1),)
+        if not image:
+            scales[v.code] = 0
+        elif len(image) == 1 and own in image._terms:
+            scales[v.code] = image._terms[own]
+        else:
+            images[v.code] = image
+    return scales, images
+
+
+class _PreparedMap(Mapping):
+    """A substitution map analysed once, to apply to many polynomials.
+
+    It reads as a copy of the mapping it was made from and refuses writes.
+    It holds that mapping's analysis, the scales and images of _analyse,
+    and powers, a _FirstUse table (code, exponent) -> scale**exponent that
+    is 1 for a code with no scale, so substitute_all rescales a term by one
+    math.prod over its pairs.
+    """
+
+    __slots__ = ("_mapping", "scales", "images", "powers")
+
+    def __init__(self, mapping: Mapping[Variable, Union[SparsePolynomial, int]]) -> None:
+        self._mapping = dict(mapping)
+        scales, images = _analyse(self._mapping)
+        self.scales, self.images = scales, images
+        self.powers = _FirstUse(lambda pair: scales.get(pair[0], 1) ** pair[1])
+
+    def __getitem__(self, v: Variable) -> Union[SparsePolynomial, int]:
+        return self._mapping[v]
+
+    def __iter__(self) -> Iterator[Variable]:
+        return iter(self._mapping)
+
+    def __len__(self) -> int:
+        return len(self._mapping)
 
 
 class PolyAccumulator:

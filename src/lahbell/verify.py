@@ -6,12 +6,21 @@ equality.  Suites are keyed by short stable labels; each returns one result
 per identity.
 
 There is one verdict path.  A suite lays out each identity's comparisons as
-a lazy stream of cases (where, got, want); _mismatches turns the cases whose
-sides differ into counterexample text "where: got vs want", and _verdict
-reports the first of them, or a pass when there is none.  The stream is
-consumed only up to that first counterexample, so nothing after it is
-computed.  theorem1's three-way check and faadibruno's report write their
+a lazy stream of cases (template, values, got, want); _mismatches turns the
+cases whose sides differ into counterexample text "where: got vs want",
+where is template.format(*values), and _verdict reports the first of them,
+or a pass when there is none.  A label is formatted only for a
+counterexample, never for a case that passes.  The stream is consumed only
+up to that first counterexample, so nothing after it is computed.
+theorem1's three-way check and faadibruno's report write their
 counterexample text themselves and feed _verdict the same way.
+
+Setup that would repeat per case is done once.  The suites share one
+SequenceSpec per symbolic family, and one uniform spec over the scalar x,
+so a run makes no spec and the reuse scope finds each spec's tables by
+identity.  The weight maps of prop2, eq23 and eq30 are prepared
+(poly._PreparedMap) when the suite starts, so substitute_all analyses each
+map once, not once per case.
 """
 
 from __future__ import annotations
@@ -42,7 +51,9 @@ from .exact_core import (
     rlah,
 )
 from .partitions import lah_via_pi, rlah_via_lambda
-from .poly import SCALAR_X, SparsePolynomial, Variable, const, indexed_var, var
+from .poly import (
+    _INDEXED_FAMILIES, SCALAR_X, SparsePolynomial, Variable, _PreparedMap, const, indexed_var, var,
+)
 from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
@@ -74,11 +85,13 @@ def _cut(text: str, start: int) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _mismatches(cases: Iterable[tuple[str, object, object]]) -> Iterator[str]:
-    """'where: got vs want' for each (where, got, want) case whose sides differ."""
-    for where, got, want in cases:
+def _mismatches(cases: Iterable[tuple[str, tuple, object, object]]) -> Iterator[str]:
+    """'where: got vs want' for each (template, values, got, want) case whose
+    sides differ, where being template.format(*values).  Only a case whose
+    sides differ has its label formatted."""
+    for template, values, got, want in cases:
         if got != want:
-            yield f"{where}: " + " vs ".join(_shown(got, want))
+            yield f"{template.format(*values)}: " + " vs ".join(_shown(got, want))
 
 
 def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) -> IdentityResult:
@@ -87,8 +100,13 @@ def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) ->
     return IdentityResult(suite, identity, bounds, first is None, first)
 
 
+# The suites' shared specs: one per symbolic family, one over the scalar x.
+_SYMBOLIC = {family: SequenceSpec.symbolic(family) for family in _INDEXED_FAMILIES}
+_UNIFORM_X = SequenceSpec.uniform(var(SCALAR_X))
+
+
 def _sym(family: str) -> SequenceSpec:
-    return SequenceSpec.symbolic(family)
+    return _SYMBOLIC[family]
 
 
 def _rows(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
@@ -113,27 +131,33 @@ def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
     return [_verdict("theorem1", identity, f"n<={n_max}", failures)]
 
 
-def _weights(family: str, count: int, weight: Callable[[int], int]) -> dict:
-    """{v_i: weight(i) * v_i for i = 1..count}, to substitute_all.  It leaves
-    the variables a polynomial lacks alone, so one map built at a suite's
-    bound serves every (n, k) under it."""
-    return {
-        Variable(family, i): weight(i) * indexed_var(family, i) for i in range(1, count + 1)
-    }
+def _weights(*rules: tuple[str, int, Callable[[int], int]]) -> _PreparedMap:
+    """{v_i: weight(i) * v_i for i = 1..count} for each (family, count, weight)
+    rule, to substitute_all.  It leaves the variables a polynomial lacks
+    alone, so one map built at a suite's bound serves every (n, k) under it,
+    and it is prepared, so its images are analysed once, not once a call."""
+    return _PreparedMap({
+        Variable(family, i): weight(i) * indexed_var(family, i)
+        for family, count, weight in rules
+        for i in range(1, count + 1)
+    })
 
 
 def _check_prop2(n_max: int, r_max: int) -> list[IdentityResult]:
     bounds = f"n<={n_max}, k<=n"
-    weights = _weights("x", n_max + 1, factorial)
+    weights = _weights(("x", n_max + 1, factorial))
     weighted = (
         (
-            f"n={n} k={k}",
+            "n={} k={}",
+            (n, k),
             incomplete_lah_bell(n, k, _sym("x")),
             incomplete_bell(n, k, _sym("x")).substitute_all(weights),
         )
         for n, k, _ in _triangles(n_max, 0)
     )
-    triangle = ((f"n={n} k={k}", lah_via_pi(n, k), lah(n, k)) for n, k, _ in _triangles(n_max, 0))
+    triangle = (
+        ("n={} k={}", (n, k), lah_via_pi(n, k), lah(n, k)) for n, k, _ in _triangles(n_max, 0)
+    )
     return [
         _verdict(
             "prop2", "ordered-block partial polynomial equals weighted plain one", bounds,
@@ -150,7 +174,8 @@ def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "complete ordered-block polynomial splits into the partial ones"
     cases = (
         (
-            f"n={n}",
+            "n={}",
+            (n,),
             complete_lah_bell(n, _sym("x")),
             sum((incomplete_lah_bell(n, k, _sym("x")) for k in range(1, n + 1)), const(0)),
         )
@@ -161,10 +186,11 @@ def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "partial ordered-block polynomials are homogeneous of degree k"
-    scalings = {alpha: _weights("x", n_max + 1, lambda i: alpha) for alpha in range(-3, 4)}
+    scalings = {alpha: _weights(("x", n_max + 1, lambda i: alpha)) for alpha in range(-3, 4)}
     cases = (
         (
-            f"n={n} k={k} alpha={alpha}",
+            "n={} k={} alpha={}",
+            (n, k, alpha),
             base.substitute_all(scaling),
             base * alpha**k,
         )
@@ -180,7 +206,7 @@ def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "all-equal-argument complete polynomial equals the row polynomial"
     x = var(SCALAR_X)
     cases = (
-        (f"n={n}", complete_lah_bell(n, SequenceSpec.uniform(x)), lah_bell_polynomial(n, 0, x))
+        ("n={}", (n,), complete_lah_bell(n, _UNIFORM_X), lah_bell_polynomial(n, 0, x))
         for n in range(n_max + 1)
     )
     return [_verdict("eq28", identity, f"n<={n_max}", _mismatches(cases))]
@@ -188,12 +214,11 @@ def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "ordered-block extended polynomial equals factorially weighted plain one"
-    weights = _weights("a", n_max, factorial) | _weights(
-        "b", n_max + 1, lambda j: factorial(j - 1)
-    )
+    weights = _weights(("a", n_max, factorial), ("b", n_max + 1, lambda j: factorial(j - 1)))
     cases = (
         (
-            f"n={n} k={k} r={r}",
+            "n={} k={} r={}",
+            (n, k, r),
             incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b")),
             incomplete_r_bell(n, k, 2 * r, _sym("a"), _sym("b")).substitute_all(weights),
         )
@@ -206,7 +231,12 @@ def _check_theorem4(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "all-ones complete extended polynomial equals the row polynomial"
     x = var(SCALAR_X)
     cases = (
-        (f"n={n} r={r}", complete_r_lah_bell(n, r, x, ONES, ONES), lah_bell_polynomial(n, r, x))
+        (
+            "n={} r={}",
+            (n, r),
+            complete_r_lah_bell(n, r, x, ONES, ONES),
+            lah_bell_polynomial(n, r, x),
+        )
         for n, r in _rows(n_max, r_max)
     )
     return [_verdict("theorem4", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
@@ -215,7 +245,7 @@ def _check_theorem4(n_max: int, r_max: int) -> list[IdentityResult]:
 def _check_theorem5(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "all-ones partial extended polynomial equals the extended triangle"
     cases = (
-        (f"n={n} k={k} r={r}", incomplete_r_lah_bell(n, k, r, ONES, ONES), rlah(n, k, r))
+        ("n={} k={} r={}", (n, k, r), incomplete_r_lah_bell(n, k, r, ONES, ONES), rlah(n, k, r))
         for n, k, r in _triangles(n_max, r_max)
     )
     return [_verdict("theorem5", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
@@ -224,7 +254,7 @@ def _check_theorem5(n_max: int, r_max: int) -> list[IdentityResult]:
 def _check_corollary6(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "paired-witness multinomial sum matches the extended triangle"
     cases = (
-        (f"n={n} k={k} r={r}", rlah_via_lambda(n, k, r), rlah(n, k, r))
+        ("n={} k={} r={}", (n, k, r), rlah_via_lambda(n, k, r), rlah(n, k, r))
         for n, k, r in _triangles(n_max, r_max)
     )
     bounds = f"n<={n_max}, k<=n, r<={r_max}"
@@ -235,7 +265,8 @@ def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "partition-times-composition expansion equals the witness sum at x=1"
     cases = (
         (
-            f"n={n} r={r}",
+            "n={} r={}",
+            (n, r),
             complete_r_lah_bell_expansion(n, r, _sym("x"), _sym("y")),
             complete_r_lah_bell(n, r, 1, _sym("x"), _sym("y")),
         )
@@ -247,11 +278,13 @@ def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
 def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "scalar-argument partial sums rebuild the row polynomial"
     x = var(SCALAR_X)
-    xs = SequenceSpec.uniform(x)
     cases = (
         (
-            f"n={n} r={r}",
-            sum((incomplete_r_lah_bell(n, k, r, xs, ONES) for k in range(n + 1)), const(0)),
+            "n={} r={}",
+            (n, r),
+            sum(
+                (incomplete_r_lah_bell(n, k, r, _UNIFORM_X, ONES) for k in range(n + 1)), const(0)
+            ),
             lah_bell_polynomial(n, r, x),
         )
         for n, r in _rows(n_max, r_max)
@@ -285,9 +318,11 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         # declared first, varies slowest; x, a and b are the same at every point.
         swept = [name for name in GF_FAMILIES[family] if name in sweeps]
         given = {name: fixed[name] for name in GF_FAMILIES[family] if name in fixed}
+        template = " ".join(f"{name}={{}}" for name in ["n", *swept])
         cases = (
             (
-                " ".join(f"{name}={value}" for name, value in [("n", n), *zip(swept, values)]),
+                template,
+                (n, *values),
                 got[n],
                 want(n, *values),
             )

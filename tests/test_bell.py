@@ -181,6 +181,29 @@ def test_a_spec_checks_every_field_when_made():
             make()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ONES,
+        FACTORIALS,
+        SequenceSpec.explicit((4, 5)),
+        SequenceSpec.symbolic("a"),
+        SequenceSpec.uniform(var("x1")),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_a_spec_index_is_a_count_from_one(spec):
+    """Every kind checks its index alike: an int that is not a bool, at least 1."""
+    for index, error, message in [
+        (True, TypeError, "^sequence index must be an int, got bool$"),
+        (2.5, TypeError, "^sequence index must be an int, got float$"),
+        (0, ValueError, "^sequence index starts at 1, got 0$"),
+    ]:
+        with pytest.raises(error, match=message):
+            spec.at(index)
+    assert isinstance(spec.at(1), SparsePolynomial)
+
+
 def test_incomplete_bell_matches_recurrence_oracle():
     for n in range(8):
         for k in range(n + 2):
@@ -842,8 +865,9 @@ def test_no_reserved_fill_code_is_left_in_a_witness_sum():
 
 def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
     """x^k times each partial polynomial goes straight into the total, at a
-    constant x as at a symbolic one: the only products taken are the powers
-    of x, x^k times x, so no operand has more than one term."""
+    constant x as at a symbolic one: the only products taken are the n
+    powers x^1..x^n of x, each x^(k-1) times x, so no operand has more than
+    one term and no power past x^n is taken."""
     products = []
     multiply = SparsePolynomial.__mul__
 
@@ -859,7 +883,8 @@ def test_complete_r_lah_bell_builds_no_product_per_k(monkeypatch):
             products.clear()
             got = complete_r_lah_bell(6, 1, x, A, B)
         assert got == want, x
-        assert products and max(max(sizes) for sizes in products) <= 1, (x, products)
+        assert len(products) == 6, (x, products)
+        assert max(max(sizes) for sizes in products) <= 1, (x, products)
 
 
 def test_complete_r_lah_bell_expansion_builds_no_product_polynomial(monkeypatch):

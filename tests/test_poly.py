@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lahbell import poly
 from lahbell.bell import ONES, SequenceSpec
 from lahbell.exact_core import IntegralityError
 from lahbell.poly import (
@@ -15,6 +16,7 @@ from lahbell.poly import (
     PolyAccumulator,
     SparsePolynomial,
     Variable,
+    _PreparedMap,
     const,
     indexed_var,
     term,
@@ -443,7 +445,39 @@ _x1, _x2, _a1 = _UNIVERSE[:3]
 )
 def test_substitute_all_matches_evaluating_at_the_images(p, mapping, point):
     at_images = {v: mapping[v].evaluate(point) if v in mapping else point[v] for v in _UNIVERSE}
-    assert p.substitute_all(mapping).evaluate(point) == p.evaluate(at_images)
+    substituted = p.substitute_all(mapping)
+    assert substituted.evaluate(point) == p.evaluate(at_images)
+    # a prepared map gives the same polynomial, with its terms in the same order
+    prepared = p.substitute_all(_PreparedMap(mapping))
+    assert list(prepared._terms.items()) == list(substituted._terms.items())
+
+
+def test_a_prepared_map_is_analysed_once_and_refuses_writes(monkeypatch):
+    calls = Counter()
+    analyse = poly._analyse
+
+    def counted(mapping):
+        calls["analyse"] += 1
+        return analyse(mapping)
+
+    monkeypatch.setattr(poly, "_analyse", counted)
+    source = {_x1: 6 * var("x1"), _x2: -2 * var("x2"), _a1: var("x1") + 1, SCALAR_X: 0}
+    prepared = _PreparedMap(source)
+    polys = [(var("x1") + var("x2") * var("a1") + var(SCALAR_X)) ** k for k in range(5)]
+    got = [p.substitute_all(prepared) for p in polys]
+    assert calls["analyse"] == 1
+    # a plain mapping is analysed by every call
+    assert [p.substitute_all(source) for p in polys] == got
+    assert calls["analyse"] == 1 + len(polys)
+    # it reads as a copy of its source, and neither writes nor follows it
+    assert dict(prepared) == source and len(prepared) == 4 and prepared[_x1] == 6 * var("x1")
+    with pytest.raises(TypeError):
+        prepared[_x1] = var("x2")
+    with pytest.raises(TypeError):
+        del prepared[_x1]
+    source[_x1] = var("x2")
+    assert prepared[_x1] == 6 * var("x1")
+    assert var("x1").substitute_all(prepared) == 6 * var("x1")
 
 
 # -- one polynomial, whichever way it was built --------------------------------

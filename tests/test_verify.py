@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lahbell import bell, cli, partitions, series, verify
+from lahbell import bell, cli, partitions, poly, series, verify
 from lahbell.bell import ONES, SequenceSpec, incomplete_bell, incomplete_r_lah_bell
 from lahbell.exact_core import _MEMO, _reuse
 from lahbell.poly import Monomial, SparsePolynomial, const, var
@@ -86,14 +86,20 @@ def _break(monkeypatch, owner, name, only=None, shift=_plus_one):
     monkeypatch.setattr(owner, name, broken)
 
 
-def _row(owner, name, suite, identity, counterexample, only=None):
+def _row(owner, name, suite, identity, counterexample, only=None, shift=_plus_one):
     return pytest.param(
-        owner, name, only, suite, identity, counterexample, id=f"{name}-{identity}"
+        owner, name, only, suite, identity, counterexample, shift, id=f"{name}-{identity}"
     )
 
 
 def _family(family):
     return lambda args: args[0] == family
+
+
+def _scales_plus_one(analysis):
+    """A prepared substitution map's analysis with every rescale off by one."""
+    scales, images = analysis
+    return {code: scale + 1 for code, scale in scales.items()}, images
 
 
 def _head_steps(args):
@@ -132,6 +138,8 @@ SO_COMPLETE_EGF = "complete egf series match the fractional witness sums"
 # itself, or skipped its loop, would pass a row and fail this test.  The int
 # kernels of constant series (_int_exp, _int_lattice) have rows of their own,
 # so the series route is checked where it skips the polynomial convolution.
+# The analysis of the prepared weight maps that prop2, eq23 and eq30 apply
+# (poly._analyse) has a row in each, which puts every rescale off by one.
 FAULT_ROWS = [
     _row(verify, "lah_bell_number", "theorem1", T1, "n=0: closed=2 bell=1 series=1"),
     _row(verify, "complete_bell", "theorem1", T1, "n=0: closed=1 bell=2 series=1"),
@@ -141,6 +149,7 @@ FAULT_ROWS = [
     _row(verify, "incomplete_bell", "prop2", P2_POLY, "n=0 k=0: 1 vs 2"),
     _row(verify, "lah_via_pi", "prop2", P2_TRIANGLE, "n=0 k=0: 2 vs 1"),
     _row(verify, "lah", "prop2", P2_TRIANGLE, "n=0 k=0: 1 vs 2"),
+    _row(poly, "_analyse", "prop2", P2_POLY, "n=1 k=1: x1 vs 2*x1", shift=_scales_plus_one),
     _row(verify, "complete_lah_bell", "theorem3", T3, "n=1: x1 + 1 vs x1"),
     _row(verify, "incomplete_lah_bell", "theorem3", T3, "n=1: x1 vs x1 + 1"),
     _row(SparsePolynomial, "substitute_all", "eq23", EQ23, "n=0 k=0 alpha=-3: 2 vs 1"),
@@ -148,10 +157,15 @@ FAULT_ROWS = [
         SparsePolynomial, "__mul__", "eq23", EQ23, "n=0 k=0 alpha=-3: 1 vs 2",
         only=lambda args: isinstance(args[1], int),
     ),
+    _row(
+        poly, "_analyse", "eq23", EQ23, "n=1 k=1 alpha=-3: -2*x1 vs -3*x1",
+        shift=_scales_plus_one,
+    ),
     _row(verify, "complete_lah_bell", "eq28", EQ28, "n=0: 2 vs 1"),
     _row(verify, "lah_bell_polynomial", "eq28", EQ28, "n=0: 1 vs 2"),
     _row(verify, "incomplete_r_lah_bell", "eq30", EQ30, "n=0 k=0 r=0: 2 vs 1"),
     _row(verify, "incomplete_r_bell", "eq30", EQ30, "n=0 k=0 r=0: 1 vs 2"),
+    _row(poly, "_analyse", "eq30", EQ30, "n=1 k=1 r=0: a1 vs 2*a1", shift=_scales_plus_one),
     _row(verify, "complete_r_lah_bell", "theorem4", T4, "n=0 r=0: 2 vs 1"),
     _row(verify, "lah_bell_polynomial", "theorem4", T4, "n=0 r=0: 1 vs 2"),
     _row(verify, "incomplete_r_lah_bell", "theorem5", T5, "n=0 k=0 r=0: 2 vs 1"),
@@ -207,11 +221,11 @@ FAULT_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("owner,name,only,suite,identity,counterexample", FAULT_ROWS)
+@pytest.mark.parametrize("owner,name,only,suite,identity,counterexample,shift", FAULT_ROWS)
 def test_series_oracle_reports_the_broken_route(
-    monkeypatch, owner, name, only, suite, identity, counterexample
+    monkeypatch, owner, name, only, suite, identity, counterexample, shift
 ):
-    _break(monkeypatch, owner, name, only)
+    _break(monkeypatch, owner, name, only, shift)
     results = run_suites(suite, 3, 1)
     failed = [(item.identity, item.counterexample) for item in results if not item.passed]
     assert failed == [(identity, counterexample)]
@@ -261,6 +275,32 @@ def test_shown_cuts_both_sides_from_the_same_start():
     )
     # an int stays in full
     assert verify._shown(3, xs) == ("3", text[:57] + "...")
+
+
+def test_a_label_is_formatted_only_for_a_counterexample():
+    """A case carries its label as a template and values; a template that
+    raises when formatted passes unread while the sides are equal."""
+    unformattable = "n={} k={}"  # two fields, one value: format raises IndexError
+    equal = [(unformattable, (1,), const(3), 3), (unformattable, (2,), var("x1"), var("x1"))]
+    assert list(verify._mismatches(equal)) == []
+    with pytest.raises(IndexError):
+        list(verify._mismatches([*equal, (unformattable, (3,), 1, 2)]))
+    assert list(verify._mismatches([("n={} k={}", (3, 1), 5, 6)])) == ["n=3 k=1: 5 vs 6"]
+
+
+def test_a_verify_run_makes_no_sequence_spec(monkeypatch):
+    """Every suite passes the module's one spec per family, so the scope's
+    tables are found by identity and no equal spec is built per case."""
+    made = Counter()
+    check = SequenceSpec.__post_init__
+
+    def counted(self):
+        made[self.kind] += 1
+        check(self)
+
+    monkeypatch.setattr(SequenceSpec, "__post_init__", counted)
+    assert all(item.passed for item in run_suites("all", 3, 1))
+    assert made == Counter()
 
 
 def test_a_suite_stops_at_its_first_counterexample(monkeypatch):
