@@ -59,7 +59,6 @@ different sums against each other.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -230,7 +229,6 @@ def _exponent_vectors(n: int) -> Iterator[tuple[int, ...]]:
         w = left[i]
 
 
-@functools.cache
 def _first_code(family: str) -> int:
     """The code of the family's variable 1; variable i has this code plus i - 1."""
     return Variable(family, 1).code
@@ -500,7 +498,7 @@ def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> Spar
 
     Computed from the closed-form numbers, walked along the row, independently
     of the witness sums, so it can serve as an oracle for them.  An int x
-    (not a bool) is evaluated by Horner's rule over the row in ints.
+    (not a bool) is evaluated by Horner's rule in ints, any other x by n products.
     """
     _check_nonnegative_int(n=n, r=r)
     if isinstance(x, int) and not isinstance(x, bool):
@@ -511,9 +509,10 @@ def lah_bell_polynomial(n: int, r: int, x: Union[SparsePolynomial, int]) -> Spar
     xp = as_poly(x)
     total = PolyAccumulator()
     xpow = ONE
-    for entry in _rlah_walk(n, r):
+    for k, entry in enumerate(_rlah_walk(n, r)):
+        if k:
+            xpow = xpow * xp
         total.add(xpow, entry)
-        xpow = xpow * xp
     return total.build()
 
 

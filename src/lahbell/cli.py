@@ -19,6 +19,7 @@ from collections import deque
 from typing import Sequence
 
 from .bell import (
+    FACTORIALS,
     ONES,
     SequenceSpec,
     complete_bell,
@@ -152,7 +153,7 @@ def _parse_sequence(
     if text == "ones":
         return ONES
     if text == "factorials":
-        return SequenceSpec.factorials()
+        return FACTORIALS
     try:
         return SequenceSpec.explicit([int(part) for part in text.split(",")])
     except ValueError:

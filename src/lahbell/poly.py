@@ -38,11 +38,11 @@ one such table: the witness sums in bell keep their part sides in it too.
 
 substitute_all first analyses its mapping (_analyse): an image that is an
 int times the variable's own copy, or zero, is a rescale, and any other
-image is multiplied out.  A _PreparedMap is a read-only mapping that keeps
-that analysis, with a _FirstUse table of each (code, exponent) pair's scale
-power, so a map applied to many polynomials is analysed once and each term
-is rescaled by one math.prod.  The verifier prepares its weight maps this
-way; any other mapping is analysed by the call it is passed to.
+image is multiplied out.  A _PreparedMap is that analysis, kept with a
+_FirstUse table of each (code, exponent) pair's scale power, so a map
+applied to many polynomials is analysed once and each term is rescaled by
+one math.prod.  The verifier prepares its weight maps this way; any other
+mapping is analysed by the call it is passed to.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ class _FirstUse(dict):
 class Monomial:
     """A finite product of variable powers; the empty product is the unit."""
 
-    __slots__ = ("_pairs", "_hash")
+    __slots__ = ("_pairs",)
 
     def __init__(
         self,
@@ -228,14 +228,12 @@ class Monomial:
         self._pairs: tuple[tuple[int, int], ...] = tuple(
             sorted((v.code, e) for v, e in items.items() if e)
         )
-        self._hash = hash(self._pairs)
 
     @classmethod
     def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "Monomial":
         """Wrap code-sorted pairs with positive exponents, unchecked."""
         obj = object.__new__(cls)
         obj._pairs = pairs
-        obj._hash = hash(pairs)
         return obj
 
     @property
@@ -269,7 +267,7 @@ class Monomial:
         return isinstance(other, Monomial) and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._pairs)
 
     def sort_key(self) -> tuple:
         """Ascending sort by this key lists monomials in descending graded lex."""
@@ -401,7 +399,11 @@ class SparsePolynomial:
         return result
 
     def divide_exact(self, divisor: int) -> "SparsePolynomial":
-        """Divide every coefficient by divisor, requiring exactness."""
+        """Divide every coefficient by divisor, requiring exactness.  divisor
+        is a nonzero int, not a bool, even when self is the zero polynomial."""
+        _check_int("divisor", divisor)
+        if not divisor:
+            raise ZeroDivisionError("divisor must be nonzero")
         return SparsePolynomial._raw(
             {m: exact_div(c, divisor) for m, c in self._terms.items()}
         )
@@ -414,9 +416,9 @@ class SparsePolynomial:
         An image c*v of a variable v's own copy, as in x_i -> i!*x_i, is a
         rescale: each term takes c^e under an unchanged key.  A zero image
         is a rescale by 0, which drops the terms it meets.  Every other
-        image is multiplied out term by term.  A _PreparedMap carries this
-        analysis of its images, worked out once when it was made; any other
-        mapping is analysed afresh by this call.
+        image is multiplied out term by term.  A _PreparedMap is this
+        analysis of a mapping's images, worked out once when it was made;
+        any other mapping is analysed afresh by this call.
         """
         if not isinstance(mapping, _PreparedMap):
             mapping = _PreparedMap(mapping)
@@ -564,32 +566,22 @@ def _analyse(
     return scales, images
 
 
-class _PreparedMap(Mapping):
+class _PreparedMap:
     """A substitution map analysed once, to apply to many polynomials.
 
-    It reads as a copy of the mapping it was made from and refuses writes.
-    It holds that mapping's analysis, the scales and images of _analyse,
-    and powers, a _FirstUse table (code, exponent) -> scale**exponent that
-    is 1 for a code with no scale, so substitute_all rescales a term by one
-    math.prod over its pairs.
+    It holds the map's analysis, the scales and images of _analyse, and
+    powers, a _FirstUse table (code, exponent) -> scale**exponent that is 1
+    for a code with no scale, so substitute_all rescales a term by one
+    math.prod over its pairs.  The map is read once, when this is made, so
+    later writes to it are not seen.
     """
 
-    __slots__ = ("_mapping", "scales", "images", "powers")
+    __slots__ = ("scales", "images", "powers")
 
     def __init__(self, mapping: Mapping[Variable, Union[SparsePolynomial, int]]) -> None:
-        self._mapping = dict(mapping)
-        scales, images = _analyse(self._mapping)
+        scales, images = _analyse(mapping)
         self.scales, self.images = scales, images
         self.powers = _FirstUse(lambda pair: scales.get(pair[0], 1) ** pair[1])
-
-    def __getitem__(self, v: Variable) -> Union[SparsePolynomial, int]:
-        return self._mapping[v]
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._mapping)
-
-    def __len__(self) -> int:
-        return len(self._mapping)
 
 
 class PolyAccumulator:

@@ -15,12 +15,12 @@ up to that first counterexample, so nothing after it is computed.
 theorem1's three-way check and faadibruno's report write their
 counterexample text themselves and feed _verdict the same way.
 
-Setup that would repeat per case is done once.  The suites share one
-SequenceSpec per symbolic family, and one uniform spec over the scalar x,
-so a run makes no spec and the reuse scope finds each spec's tables by
-identity.  The weight maps of prop2, eq23 and eq30 are prepared
-(poly._PreparedMap) when the suite starts, so substitute_all analyses each
-map once, not once per case.
+Setup that would repeat per case is done once.  The suites read their shared
+inputs from module constants: one SequenceSpec per symbolic family, the
+scalar x and one uniform spec over it, so a run makes no spec and the reuse
+scope finds each spec's tables by identity.  The weight maps of prop2, eq23
+and eq30 are prepared (poly._PreparedMap) when the suite starts, so
+substitute_all analyses each map once, not once per case.
 """
 
 from __future__ import annotations
@@ -100,13 +100,10 @@ def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) ->
     return IdentityResult(suite, identity, bounds, first is None, first)
 
 
-# The suites' shared specs: one per symbolic family, one over the scalar x.
+# The suites' shared inputs: a spec per symbolic family, the scalar x, a uniform spec over x.
 _SYMBOLIC = {family: SequenceSpec.symbolic(family) for family in _INDEXED_FAMILIES}
-_UNIFORM_X = SequenceSpec.uniform(var(SCALAR_X))
-
-
-def _sym(family: str) -> SequenceSpec:
-    return _SYMBOLIC[family]
+_X = var(SCALAR_X)
+_UNIFORM_X = SequenceSpec.uniform(_X)
 
 
 def _rows(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
@@ -150,8 +147,8 @@ def _check_prop2(n_max: int, r_max: int) -> list[IdentityResult]:
         (
             "n={} k={}",
             (n, k),
-            incomplete_lah_bell(n, k, _sym("x")),
-            incomplete_bell(n, k, _sym("x")).substitute_all(weights),
+            incomplete_lah_bell(n, k, _SYMBOLIC["x"]),
+            incomplete_bell(n, k, _SYMBOLIC["x"]).substitute_all(weights),
         )
         for n, k, _ in _triangles(n_max, 0)
     )
@@ -176,8 +173,8 @@ def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
         (
             "n={}",
             (n,),
-            complete_lah_bell(n, _sym("x")),
-            sum((incomplete_lah_bell(n, k, _sym("x")) for k in range(1, n + 1)), const(0)),
+            complete_lah_bell(n, _SYMBOLIC["x"]),
+            sum((incomplete_lah_bell(n, k, _SYMBOLIC["x"]) for k in range(1, n + 1)), const(0)),
         )
         for n in range(1, n_max + 1)
     )
@@ -195,7 +192,7 @@ def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
             base * alpha**k,
         )
         for n, k, _ in _triangles(n_max, 0)
-        for base in [incomplete_lah_bell(n, k, _sym("x"))]
+        for base in [incomplete_lah_bell(n, k, _SYMBOLIC["x"])]
         for alpha, scaling in scalings.items()
     )
     bounds = f"n<={n_max}, k<=n, alpha in -3..3"
@@ -204,9 +201,8 @@ def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "all-equal-argument complete polynomial equals the row polynomial"
-    x = var(SCALAR_X)
     cases = (
-        ("n={}", (n,), complete_lah_bell(n, _UNIFORM_X), lah_bell_polynomial(n, 0, x))
+        ("n={}", (n,), complete_lah_bell(n, _UNIFORM_X), lah_bell_polynomial(n, 0, _X))
         for n in range(n_max + 1)
     )
     return [_verdict("eq28", identity, f"n<={n_max}", _mismatches(cases))]
@@ -219,8 +215,8 @@ def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
         (
             "n={} k={} r={}",
             (n, k, r),
-            incomplete_r_lah_bell(n, k, r, _sym("a"), _sym("b")),
-            incomplete_r_bell(n, k, 2 * r, _sym("a"), _sym("b")).substitute_all(weights),
+            incomplete_r_lah_bell(n, k, r, _SYMBOLIC["a"], _SYMBOLIC["b"]),
+            incomplete_r_bell(n, k, 2 * r, _SYMBOLIC["a"], _SYMBOLIC["b"]).substitute_all(weights),
         )
         for n, k, r in _triangles(n_max, r_max)
     )
@@ -229,13 +225,12 @@ def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_theorem4(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "all-ones complete extended polynomial equals the row polynomial"
-    x = var(SCALAR_X)
     cases = (
         (
             "n={} r={}",
             (n, r),
-            complete_r_lah_bell(n, r, x, ONES, ONES),
-            lah_bell_polynomial(n, r, x),
+            complete_r_lah_bell(n, r, _X, ONES, ONES),
+            lah_bell_polynomial(n, r, _X),
         )
         for n, r in _rows(n_max, r_max)
     )
@@ -267,8 +262,8 @@ def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
         (
             "n={} r={}",
             (n, r),
-            complete_r_lah_bell_expansion(n, r, _sym("x"), _sym("y")),
-            complete_r_lah_bell(n, r, 1, _sym("x"), _sym("y")),
+            complete_r_lah_bell_expansion(n, r, _SYMBOLIC["x"], _SYMBOLIC["y"]),
+            complete_r_lah_bell(n, r, 1, _SYMBOLIC["x"], _SYMBOLIC["y"]),
         )
         for n, r in _rows(n_max, r_max)
     )
@@ -277,7 +272,6 @@ def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "scalar-argument partial sums rebuild the row polynomial"
-    x = var(SCALAR_X)
     cases = (
         (
             "n={} r={}",
@@ -285,7 +279,7 @@ def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
             sum(
                 (incomplete_r_lah_bell(n, k, r, _UNIFORM_X, ONES) for k in range(n + 1)), const(0)
             ),
-            lah_bell_polynomial(n, r, x),
+            lah_bell_polynomial(n, r, _X),
         )
         for n, r in _rows(n_max, r_max)
     )
@@ -307,10 +301,9 @@ def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
 def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
     suite = "series-oracle"
     bounds = f"n<={n_max}, k<=n, r<={r_max}"
-    x = var(SCALAR_X)
-    a, b = _sym("a"), _sym("b")
+    a, b = _SYMBOLIC["a"], _SYMBOLIC["b"]
     sweeps = {"k": range(n_max + 1), "r": range(r_max + 1), "rho": range(2 * r_max + 1)}
-    fixed = {"x": x, "a": a, "b": b}
+    fixed = {"x": _X, "a": a, "b": b}
 
     def compare(identity: str, family: str, want) -> IdentityResult:
         """gf_expand(family) at each parameter point against want(n, *point) for n <= n_max."""
@@ -349,7 +342,7 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         compare(
             "scalar-argument series match the row polynomials",
             "r-lah-bell-poly",
-            lambda n, r: lah_bell_polynomial(n, r, x),
+            lambda n, r: lah_bell_polynomial(n, r, _X),
         ),
         compare(
             "generic ordinary series match the witness sums",
@@ -359,7 +352,7 @@ def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
         compare(
             "generic complete series match the witness sums",
             "complete-generic",
-            lambda n, r: complete_r_lah_bell(n, r, x, a, b),
+            lambda n, r: complete_r_lah_bell(n, r, _X, a, b),
         ),
         compare(
             "generic egf series match the fractional witness sums",

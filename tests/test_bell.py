@@ -447,6 +447,26 @@ def test_lah_bell_polynomial_values():
         )
 
 
+def test_lah_bell_polynomial_takes_n_powers_of_a_polynomial_x(monkeypatch):
+    """A polynomial x is raised one power at a time, x^(k-1) times x, and no
+    power past x^n is taken: n products for row n."""
+    x = var(SCALAR_X) + 2
+    want = sum((rlah(6, k, 1) * x**k for k in range(7)), const(0))
+    products = []
+    multiply = SparsePolynomial.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(SparsePolynomial, "__mul__", counted)
+        patched.setattr(SparsePolynomial, "__rmul__", counted)
+        got = lah_bell_polynomial(6, 1, x)
+    assert got == want
+    assert len(products) == 6
+
+
 def test_lah_bell_polynomial_at_an_int_is_the_row_polynomial_evaluated():
     """An int x takes Horner's rule in ints; the symbolic row polynomial,
     evaluated at the same x, is the other side."""

@@ -111,8 +111,14 @@ def test_divide_exact():
     assert p.divide_exact(2) == 2 * var("x1") + 3
     with pytest.raises(IntegralityError):
         (3 * var("x1")).divide_exact(2)
-    with pytest.raises(TypeError):
-        const(3).divide_exact(1.5)
+    for bad in (1.5, True, 2.0):
+        for q in (const(3), ZERO):
+            with pytest.raises(TypeError):
+                q.divide_exact(bad)
+    # a zero divisor is refused before any term is read, so by ZERO as well
+    for q in (const(3), ZERO):
+        with pytest.raises(ZeroDivisionError):
+            q.divide_exact(0)
 
 
 def test_exponents_that_are_not_ints_are_refused():
@@ -469,14 +475,12 @@ def test_a_prepared_map_is_analysed_once_and_refuses_writes(monkeypatch):
     # a plain mapping is analysed by every call
     assert [p.substitute_all(source) for p in polys] == got
     assert calls["analyse"] == 1 + len(polys)
-    # it reads as a copy of its source, and neither writes nor follows it
-    assert dict(prepared) == source and len(prepared) == 4 and prepared[_x1] == 6 * var("x1")
+    # it takes no writes, and does not follow later writes to its source
     with pytest.raises(TypeError):
         prepared[_x1] = var("x2")
     with pytest.raises(TypeError):
         del prepared[_x1]
     source[_x1] = var("x2")
-    assert prepared[_x1] == 6 * var("x1")
     assert var("x1").substitute_all(prepared) == 6 * var("x1")
 
 

@@ -350,6 +350,12 @@ def test_divide_exact():
     assert u.divide_exact(2) == _ints([1, 2, 3], 2)
     with pytest.raises(IntegralityError):
         _ints([1, 2], 1).divide_exact(2)
+    for u in (_ints([3], 0), zero(2)):
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                u.divide_exact(bad)
+        with pytest.raises(ZeroDivisionError):
+            u.divide_exact(0)
 
 
 def test_gf_expand_triangle_columns():
