@@ -66,9 +66,9 @@ from typing import Callable, Iterator, Sequence, Union
 
 from .exact_core import (
     _MEMO,
-    IntegralityError,
     _check_int,
     _check_nonnegative_int,
+    _indivisible,
     _rlah_walk,
     factorial,
 )
@@ -376,7 +376,7 @@ def _witness_sum(
         key = _merge(k_pairs, r_pairs) if merge else k_pairs + r_pairs
         coeff, rem = divmod(num, k_weight * r_weight)
         if rem:
-            raise IntegralityError(f"{num} is not divisible by {k_weight * r_weight}")
+            raise _indivisible(num, k_weight * r_weight)
         coeff *= k_factor * r_factor
         terms[key] = terms.get(key, 0) + coeff
     if not all(terms.values()):

@@ -77,8 +77,17 @@ def exact_div(a: int, b: int) -> int:
     if type(rem) is not int:
         raise TypeError(f"exact_div needs ints, got {type(a).__name__} and {type(b).__name__}")
     if rem:
-        raise IntegralityError(f"{a} is not divisible by {b}")
+        raise _indivisible(a, b)
     return q
+
+
+def _indivisible(a: int, b: int) -> IntegralityError:
+    """The error for an a that b does not divide.  An operand of 10,000 bits or
+    more is named by its bit length: str() refuses an int past 4300 digits."""
+    a_text, b_text = (
+        str(v) if v.bit_length() < 10_000 else f"an int of {v.bit_length()} bits" for v in (a, b)
+    )
+    return IntegralityError(f"{a_text} is not divisible by {b_text}")
 
 
 # The dict of the open _reuse() scope, or None outside one.  A context

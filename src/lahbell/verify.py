@@ -12,8 +12,18 @@ where is template.format(*values), and _verdict reports the first of them,
 or a pass when there is none.  A label is formatted only for a
 counterexample, never for a case that passes.  The stream is consumed only
 up to that first counterexample, so nothing after it is computed.
-theorem1's three-way check and faadibruno's report write their
-counterexample text themselves and feed _verdict the same way.
+
+A two-sided identity is declared as one _compare call: a grid and two
+callable sides.  A grid helper (_ns, _n_k, _n_r, _n_k_r) returns the label
+template, the bounds text and the points, r varying slowest, and _compare
+evaluates got(*point), then want(*point), at each point.  Each side is a
+lambda that looks its library function up by name when it is called, so a
+function replaced on this module, by a test's fault or a tracer, is the one
+it reads.  Four suites keep their own shape: theorem1 compares three
+routes and faadibruno reads a report, so both write their own
+counterexample text; eq23 builds each base polynomial once for seven
+scalings; series-oracle expands each parameter point once for every n.
+All but faadibruno take their bounds or points from a grid helper.
 
 Setup that would repeat per case is done once.  The suites read their shared
 inputs from module constants: one SequenceSpec per symbolic family, the
@@ -106,26 +116,54 @@ _X = var(SCALAR_X)
 _UNIFORM_X = SequenceSpec.uniform(_X)
 
 
-def _rows(n_max: int, r_max: int) -> Iterator[tuple[int, int]]:
-    """(n, r) for n <= n_max and r <= r_max, r varying slowest."""
-    return ((n, r) for r in range(r_max + 1) for n in range(n_max + 1))
+_Grid = tuple[str, str, Iterable[tuple[int, ...]]]
 
 
-def _triangles(n_max: int, r_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, k, r) for k <= n <= n_max and r <= r_max, r varying slowest."""
-    return ((n, k, r) for n, r in _rows(n_max, r_max) for k in range(n + 1))
+def _ns(n_max: int, first: int = 0) -> _Grid:
+    """The grid (n,) for first <= n <= n_max."""
+    bounds = f"{first}<=n<={n_max}" if first else f"n<={n_max}"
+    return "n={}", bounds, ((n,) for n in range(first, n_max + 1))
+
+
+def _n_k(n_max: int) -> _Grid:
+    """The grid (n, k) for k <= n <= n_max."""
+    points = ((n, k) for n in range(n_max + 1) for k in range(n + 1))
+    return "n={} k={}", f"n<={n_max}, k<=n", points
+
+
+def _n_r(n_max: int, r_max: int) -> _Grid:
+    """The grid (n, r) for n <= n_max and r <= r_max, r varying slowest."""
+    points = ((n, r) for r in range(r_max + 1) for n in range(n_max + 1))
+    return "n={} r={}", f"n<={n_max}, r<={r_max}", points
+
+
+def _n_k_r(n_max: int, r_max: int) -> _Grid:
+    """The grid (n, k, r) for k <= n <= n_max and r <= r_max, r varying slowest."""
+    points = ((n, k, r) for r in range(r_max + 1) for n in range(n_max + 1) for k in range(n + 1))
+    return "n={} k={} r={}", f"n<={n_max}, k<=n, r<={r_max}", points
+
+
+def _compare(
+    suite: str, identity: str, grid: _Grid, got: Callable[..., object], want: Callable[..., object]
+) -> IdentityResult:
+    """identity's verdict: got(*point) against want(*point) at each point of
+    grid, a (template, bounds, points) triple, in order, with got first."""
+    template, bounds, points = grid
+    cases = ((template, point, got(*point), want(*point)) for point in points)
+    return _verdict(suite, identity, bounds, _mismatches(cases))
 
 
 def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "ordered-partition totals: closed form vs factorial Bell sum vs series"
+    _, bounds, points = _ns(n_max)
     expanded = gf_expand("lah-bell", n_max)
-    routes = ((n, lah_bell_number(n), complete_bell(n, FACTORIALS)) for n in range(n_max + 1))
+    routes = ((n, lah_bell_number(n), complete_bell(n, FACTORIALS)) for (n,) in points)
     failures = (
         "n={}: closed={} bell={} series={}".format(n, closed, *_shown(bell, expanded[n]))
         for n, closed, bell in routes
         if bell != const(closed) or expanded[n] != const(closed)
     )
-    return [_verdict("theorem1", identity, f"n<={n_max}", failures)]
+    return [_verdict("theorem1", identity, bounds, failures)]
 
 
 def _weights(*rules: tuple[str, int, Callable[[int], int]]) -> _PreparedMap:
@@ -141,149 +179,108 @@ def _weights(*rules: tuple[str, int, Callable[[int], int]]) -> _PreparedMap:
 
 
 def _check_prop2(n_max: int, r_max: int) -> list[IdentityResult]:
-    bounds = f"n<={n_max}, k<=n"
-    weights = _weights(("x", n_max + 1, factorial))
-    weighted = (
-        (
-            "n={} k={}",
-            (n, k),
-            incomplete_lah_bell(n, k, _SYMBOLIC["x"]),
-            incomplete_bell(n, k, _SYMBOLIC["x"]).substitute_all(weights),
-        )
-        for n, k, _ in _triangles(n_max, 0)
-    )
-    triangle = (
-        ("n={} k={}", (n, k), lah_via_pi(n, k), lah(n, k)) for n, k, _ in _triangles(n_max, 0)
-    )
+    x, weights = _SYMBOLIC["x"], _weights(("x", n_max + 1, factorial))
     return [
-        _verdict(
-            "prop2", "ordered-block partial polynomial equals weighted plain one", bounds,
-            _mismatches(weighted),
+        _compare(
+            "prop2", "ordered-block partial polynomial equals weighted plain one", _n_k(n_max),
+            lambda n, k: incomplete_lah_bell(n, k, x),
+            lambda n, k: incomplete_bell(n, k, x).substitute_all(weights),
         ),
-        _verdict(
-            "prop2", "witness-sum route matches the closed-form triangle", bounds,
-            _mismatches(triangle),
+        _compare(
+            "prop2", "witness-sum route matches the closed-form triangle", _n_k(n_max),
+            lambda n, k: lah_via_pi(n, k),
+            lambda n, k: lah(n, k),
         ),
     ]
 
 
 def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "complete ordered-block polynomial splits into the partial ones"
-    cases = (
-        (
-            "n={}",
-            (n,),
-            complete_lah_bell(n, _SYMBOLIC["x"]),
-            sum((incomplete_lah_bell(n, k, _SYMBOLIC["x"]) for k in range(1, n + 1)), const(0)),
-        )
-        for n in range(1, n_max + 1)
-    )
-    return [_verdict("theorem3", identity, f"1<=n<={n_max}", _mismatches(cases))]
+    x = _SYMBOLIC["x"]
+    return [_compare(
+        "theorem3", "complete ordered-block polynomial splits into the partial ones",
+        _ns(n_max, 1),
+        lambda n: complete_lah_bell(n, x),
+        lambda n: sum((incomplete_lah_bell(n, k, x) for k in range(1, n + 1)), const(0)),
+    )]
 
 
 def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
     identity = "partial ordered-block polynomials are homogeneous of degree k"
+    _, bounds, points = _n_k(n_max)
     scalings = {alpha: _weights(("x", n_max + 1, lambda i: alpha)) for alpha in range(-3, 4)}
     cases = (
-        (
-            "n={} k={} alpha={}",
-            (n, k, alpha),
-            base.substitute_all(scaling),
-            base * alpha**k,
-        )
-        for n, k, _ in _triangles(n_max, 0)
+        ("n={} k={} alpha={}", (n, k, alpha), base.substitute_all(scaling), base * alpha**k)
+        for n, k in points
         for base in [incomplete_lah_bell(n, k, _SYMBOLIC["x"])]
         for alpha, scaling in scalings.items()
     )
-    bounds = f"n<={n_max}, k<=n, alpha in -3..3"
-    return [_verdict("eq23", identity, bounds, _mismatches(cases))]
+    return [_verdict("eq23", identity, f"{bounds}, alpha in -3..3", _mismatches(cases))]
 
 
 def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "all-equal-argument complete polynomial equals the row polynomial"
-    cases = (
-        ("n={}", (n,), complete_lah_bell(n, _UNIFORM_X), lah_bell_polynomial(n, 0, _X))
-        for n in range(n_max + 1)
-    )
-    return [_verdict("eq28", identity, f"n<={n_max}", _mismatches(cases))]
+    return [_compare(
+        "eq28", "all-equal-argument complete polynomial equals the row polynomial", _ns(n_max),
+        lambda n: complete_lah_bell(n, _UNIFORM_X),
+        lambda n: lah_bell_polynomial(n, 0, _X),
+    )]
 
 
 def _check_eq30(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "ordered-block extended polynomial equals factorially weighted plain one"
     weights = _weights(("a", n_max, factorial), ("b", n_max + 1, lambda j: factorial(j - 1)))
-    cases = (
-        (
-            "n={} k={} r={}",
-            (n, k, r),
-            incomplete_r_lah_bell(n, k, r, _SYMBOLIC["a"], _SYMBOLIC["b"]),
-            incomplete_r_bell(n, k, 2 * r, _SYMBOLIC["a"], _SYMBOLIC["b"]).substitute_all(weights),
-        )
-        for n, k, r in _triangles(n_max, r_max)
-    )
-    return [_verdict("eq30", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
+    a, b = _SYMBOLIC["a"], _SYMBOLIC["b"]
+    return [_compare(
+        "eq30", "ordered-block extended polynomial equals factorially weighted plain one",
+        _n_k_r(n_max, r_max),
+        lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
+        lambda n, k, r: incomplete_r_bell(n, k, 2 * r, a, b).substitute_all(weights),
+    )]
 
 
 def _check_theorem4(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "all-ones complete extended polynomial equals the row polynomial"
-    cases = (
-        (
-            "n={} r={}",
-            (n, r),
-            complete_r_lah_bell(n, r, _X, ONES, ONES),
-            lah_bell_polynomial(n, r, _X),
-        )
-        for n, r in _rows(n_max, r_max)
-    )
-    return [_verdict("theorem4", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
+    return [_compare(
+        "theorem4", "all-ones complete extended polynomial equals the row polynomial",
+        _n_r(n_max, r_max),
+        lambda n, r: complete_r_lah_bell(n, r, _X, ONES, ONES),
+        lambda n, r: lah_bell_polynomial(n, r, _X),
+    )]
 
 
 def _check_theorem5(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "all-ones partial extended polynomial equals the extended triangle"
-    cases = (
-        ("n={} k={} r={}", (n, k, r), incomplete_r_lah_bell(n, k, r, ONES, ONES), rlah(n, k, r))
-        for n, k, r in _triangles(n_max, r_max)
-    )
-    return [_verdict("theorem5", identity, f"n<={n_max}, k<=n, r<={r_max}", _mismatches(cases))]
+    return [_compare(
+        "theorem5", "all-ones partial extended polynomial equals the extended triangle",
+        _n_k_r(n_max, r_max),
+        lambda n, k, r: incomplete_r_lah_bell(n, k, r, ONES, ONES),
+        lambda n, k, r: rlah(n, k, r),
+    )]
 
 
 def _check_corollary6(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "paired-witness multinomial sum matches the extended triangle"
-    cases = (
-        ("n={} k={} r={}", (n, k, r), rlah_via_lambda(n, k, r), rlah(n, k, r))
-        for n, k, r in _triangles(n_max, r_max)
-    )
-    bounds = f"n<={n_max}, k<=n, r<={r_max}"
-    return [_verdict("corollary6", identity, bounds, _mismatches(cases))]
+    return [_compare(
+        "corollary6", "paired-witness multinomial sum matches the extended triangle",
+        _n_k_r(n_max, r_max),
+        lambda n, k, r: rlah_via_lambda(n, k, r),
+        lambda n, k, r: rlah(n, k, r),
+    )]
 
 
 def _check_theorem7(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "partition-times-composition expansion equals the witness sum at x=1"
-    cases = (
-        (
-            "n={} r={}",
-            (n, r),
-            complete_r_lah_bell_expansion(n, r, _SYMBOLIC["x"], _SYMBOLIC["y"]),
-            complete_r_lah_bell(n, r, 1, _SYMBOLIC["x"], _SYMBOLIC["y"]),
-        )
-        for n, r in _rows(n_max, r_max)
-    )
-    return [_verdict("theorem7", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
+    x, y = _SYMBOLIC["x"], _SYMBOLIC["y"]
+    return [_compare(
+        "theorem7", "partition-times-composition expansion equals the witness sum at x=1",
+        _n_r(n_max, r_max),
+        lambda n, r: complete_r_lah_bell_expansion(n, r, x, y),
+        lambda n, r: complete_r_lah_bell(n, r, 1, x, y),
+    )]
 
 
 def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "scalar-argument partial sums rebuild the row polynomial"
-    cases = (
-        (
-            "n={} r={}",
-            (n, r),
-            sum(
-                (incomplete_r_lah_bell(n, k, r, _UNIFORM_X, ONES) for k in range(n + 1)), const(0)
-            ),
-            lah_bell_polynomial(n, r, _X),
-        )
-        for n, r in _rows(n_max, r_max)
-    )
-    return [_verdict("eq42", identity, f"n<={n_max}, r<={r_max}", _mismatches(cases))]
+    return [_compare(
+        "eq42", "scalar-argument partial sums rebuild the row polynomial", _n_r(n_max, r_max),
+        lambda n, r: sum(
+            (incomplete_r_lah_bell(n, k, r, _UNIFORM_X, ONES) for k in range(n + 1)), const(0)
+        ),
+        lambda n, r: lah_bell_polynomial(n, r, _X),
+    )]
 
 
 def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
@@ -300,7 +297,7 @@ def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
 
 def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
     suite = "series-oracle"
-    bounds = f"n<={n_max}, k<=n, r<={r_max}"
+    _, bounds, _ = _n_k_r(n_max, r_max)
     a, b = _SYMBOLIC["a"], _SYMBOLIC["b"]
     sweeps = {"k": range(n_max + 1), "r": range(r_max + 1), "rho": range(2 * r_max + 1)}
     fixed = {"x": _X, "a": a, "b": b}

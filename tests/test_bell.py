@@ -786,6 +786,16 @@ def test_a_coefficient_that_is_not_whole_is_refused(monkeypatch):
                 call()
 
 
+def test_a_huge_coefficient_that_is_not_whole_is_refused(monkeypatch):
+    """The refusal names a numerator past 4300 digits by its bit length, as
+    exact_div does, where str() of it would raise ValueError instead."""
+    real = math.factorial
+    huge = {2: real(2) * 4, 3: real(3) * (10**5000 + 1)}
+    monkeypatch.setattr(bell, "math", SimpleNamespace(factorial=lambda m: huge.get(m, real(m))))
+    with pytest.raises(IntegralityError, match="^an int of 16613 bits is not divisible by 8$"):
+        incomplete_bell(3, 2, X)
+
+
 def _mapped(p, **images):
     """p with every a_i, b_i sent to images["a"](i), images["b"](i), for i <= 8."""
     return p.substitute_all(

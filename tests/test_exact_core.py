@@ -117,6 +117,22 @@ def test_exact_div():
         exact_div(7, 2)
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (10**5000 + 1, 2, "^an int of 16610 bits is not divisible by 2$"),
+        (7, 10**5000, "^7 is not divisible by an int of 16610 bits$"),
+        (-7, 2, "^-7 is not divisible by 2$"),
+    ],
+    ids=["huge-dividend", "huge-divisor", "small"],
+)
+def test_an_inexact_division_names_a_huge_operand_by_its_bit_length(a, b, message):
+    """str() refuses an int of more than 4300 digits, so the message must not
+    turn one into text: the refusal is an IntegralityError, not a ValueError."""
+    with pytest.raises(IntegralityError, match=message):
+        exact_div(a, b)
+
+
 @pytest.mark.parametrize("a, b", [(3, 1.5), (3.0, 1), (0, 2.0), (6, Fraction(3))])
 def test_exact_div_refuses_values_that_are_not_ints(a, b):
     with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 every identity reports a fault in each route it compares."""
 
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -368,6 +369,58 @@ def test_a_verify_run_builds_no_monomial(monkeypatch):
     # the public views still hand out Monomials
     assert [str(mono) for mono, _ in const(3).terms()] == ["1"]
     assert counts == Counter({"_raw": 1})
+
+
+def _entered(side, points):
+    """The code objects of lahbell, outside verify, that side(*point) enters
+    over points, traced on its own in a fresh reuse scope."""
+    package, own = str(Path(verify.__file__).parent), verify.__file__
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package) and code.co_filename != own:
+            entered.add(code)
+
+    with _reuse():
+        sys.setprofile(profile)
+        try:
+            for point in points:
+                side(*point)
+        finally:
+            sys.setprofile(None)
+    return entered
+
+
+def test_the_two_sides_of_an_identity_never_enter_the_same_functions(monkeypatch):
+    """A route guard: each two-sided identity's sides, traced apart, enter
+    different sets of library functions, so no identity compares a
+    computation with itself."""
+    declared = []
+    compare = verify._compare
+
+    def captured(suite, identity, grid, got, want):
+        template, bounds, points = grid
+        points = list(points)
+        declared.append((suite, identity, points, got, want))
+        return compare(suite, identity, (template, bounds, points), got, want)
+
+    monkeypatch.setattr(verify, "_compare", captured)
+    assert all(item.passed for item in run_suites("all", 4, 1))
+    assert [suite for suite, *_ in declared] == [
+        "prop2", "prop2", "theorem3", "eq28", "eq30", "theorem4", "theorem5", "corollary6",
+        "theorem7", "eq42",
+    ]
+    for suite, identity, points, got, want in declared:
+        assert points, identity
+        assert _entered(got, points) != _entered(want, points), identity
+
+
+def test_a_suite_run_alone_gives_what_the_whole_run_gives_for_it():
+    """Inputs that a run keeps and shares across its suites change no verdict."""
+    together = run_suites("all", 6, 2)
+    for suite in SUITE_NAMES[1:]:
+        assert run_suites(suite, 6, 2) == [item for item in together if item.suite == suite]
 
 
 def test_every_identity_has_two_fault_rows():
