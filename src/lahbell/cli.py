@@ -11,9 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
 from collections import deque
 from typing import Sequence
@@ -287,13 +285,16 @@ def _spliced(head: str, parts: list[str], sep: str, tail: str) -> str:
 
 
 def _render_json(record: dict) -> str:
+    import json  # here, not at the top: only a --format json run loads it
+
     kind = record["kind"]
     payload: dict = {"kind": kind, "query": record["query"]}
     if kind == "number":
         payload["value"] = str(record["value"])
     elif kind == "verdict":
-        payload["results"] = [dataclasses.asdict(item) for item in record["results"]]
-        payload["all_passed"] = all(item.passed for item in record["results"])
+        results = record["results"]
+        payload["results"] = [{name: getattr(r, name) for name in r._fields} for r in results]
+        payload["all_passed"] = all(r.passed for r in results)
     else:
         # json.dumps still writes kind and query, escaping any user text; the
         # rest goes in before its closing brace, written as it would write it.

@@ -47,6 +47,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import count
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -123,6 +124,41 @@ def _check_nonnegative_int(**values: int) -> None:
             _check_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+class _Record:
+    """Base of the package's frozen records, which set their __slots__ once in
+    __init__ through object.__setattr__.  Equality, hash and repr read the
+    field tuple (the slots, or fields= in the class statement), as a frozen
+    dataclass's do; assignment and deletion raise AttributeError, so pickle
+    and copy go through __reduce__, which calls the class on the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...] | None = None) -> None:
+        cls._fields = fields or cls.__slots__
+        cls._values = attrgetter(*cls._fields)  # at least two names: a tuple
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self._fields, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
 
 
 def factorial(n: int) -> int:

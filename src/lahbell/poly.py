@@ -47,14 +47,12 @@ mapping is analysed by the call it is passed to.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
-from .exact_core import _check_int, _check_nonnegative_int, exact_div
+from .exact_core import _Record, _check_int, _check_nonnegative_int, exact_div
 
 __all__ = [
     "Variable",
@@ -80,31 +78,30 @@ _INDEX_MASK = _INDEX_LIMIT - 1
 _exponent = itemgetter(1)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Record, fields=("family", "index")):
     """One indeterminate: an indexed family member, or the lone scalar x.
 
     code, the int that stands for the variable in a monomial's pairs, is
-    worked out once at construction.  It is a plain attribute, not a field,
-    so equality, hashing, the repr and the field list see family and index
-    alone.
+    worked out once at construction.  It is a slot, not a field, so
+    equality, hashing and the repr see family and index alone.
     """
 
-    family: str
-    index: int = 1
+    __slots__ = ("family", "index", "code")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_RANK:
-            raise ValueError(f"unknown variable family: {self.family!r}")
-        _check_nonnegative_int(index=self.index)
-        if self.family == "scalar":
-            if self.index != 1:
+    def __init__(self, family: str, index: int = 1) -> None:
+        if family not in _FAMILY_RANK:
+            raise ValueError(f"unknown variable family: {family!r}")
+        _check_nonnegative_int(index=index)
+        if family == "scalar":
+            if index != 1:
                 raise ValueError("the scalar indeterminate carries no index")
-        elif self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
-        elif self.index >= _INDEX_LIMIT:
-            raise ValueError(f"variable index must be below 2**{_RANK_SHIFT}, got {self.index}")
-        object.__setattr__(self, "code", _FAMILY_RANK[self.family] << _RANK_SHIFT | self.index)
+        elif index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        elif index >= _INDEX_LIMIT:
+            raise ValueError(f"variable index must be below 2**{_RANK_SHIFT}, got {index}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "code", _FAMILY_RANK[family] << _RANK_SHIFT | index)
 
     @property
     def name(self) -> str:
@@ -525,6 +522,8 @@ class SparsePolynomial:
 
     def to_json_obj(self) -> dict:
         """JSON-ready form: {"terms": [{"coeff": "...", "monomial": {...}}, ...]}."""
+        import json  # here, not at the top: a CLI run that prints no JSON never loads it
+
         return {"terms": json.loads(self._json_terms())}
 
     @classmethod

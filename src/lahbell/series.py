@@ -37,13 +37,12 @@ scope every call builds its factors afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add, mul
 from typing import Sequence, Union
 
 from .bell import FACTORIALS, ONES, SequenceSpec, complete_bell
-from .exact_core import _MEMO, _check_nonnegative_int, factorial
+from .exact_core import _MEMO, _Record, _check_nonnegative_int, factorial
 from .poly import ONE, ZERO, PolyAccumulator, SparsePolynomial, as_poly
 
 __all__ = [
@@ -59,24 +58,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Power series in t truncated at `order`; coeffs[n] = n! * [t^n], a polynomial."""
 
-    order: int
-    coeffs: tuple[SparsePolynomial, ...]
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self) -> None:
-        _check_nonnegative_int(order=self.order)
-        coeffs = tuple(self.coeffs)
+    def __init__(self, order: int, coeffs: Sequence[SparsePolynomial]) -> None:
+        _check_nonnegative_int(order=order)
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, SparsePolynomial):
                 raise TypeError(f"coefficients must be polynomials, got {type(c).__name__}")
+        if len(coeffs) != order + 1:
+            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} coefficients, got {len(self.coeffs)}"
-            )
 
     def egf_coefficient(self, n: int) -> SparsePolynomial:
         """n! times the t^n coefficient: a lattice lookup."""
@@ -409,13 +405,15 @@ def _tail(memo: dict, b: SequenceSpec, kind: str, order: int, m: int) -> Truncat
     return tails[m]
 
 
-@dataclass(frozen=True)
-class DerivativeCheck:
+class DerivativeCheck(_Record):
     """Report comparing the two routes to an m-th derivative at 0."""
 
-    m: int
-    series_value: int
-    partition_value: int
+    __slots__ = ("m", "series_value", "partition_value")
+
+    def __init__(self, m: int, series_value: int, partition_value: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "series_value", series_value)
+        object.__setattr__(self, "partition_value", partition_value)
 
     @property
     def passed(self) -> bool:

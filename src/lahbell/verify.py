@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .bell import (
@@ -57,8 +56,8 @@ from .bell import (
     lah_bell_polynomial,
 )
 from .exact_core import (
-    _MEMO, _check_nonnegative_int, _reuse, factorial, lah, lah_bell_number, r_lah_bell_number,
-    rlah,
+    _MEMO, _Record, _check_nonnegative_int, _reuse, factorial, lah, lah_bell_number,
+    r_lah_bell_number, rlah,
 )
 from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import (
@@ -69,15 +68,19 @@ from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(_Record):
     """One identity's verdict; the fields, in this order, are its JSON keys."""
 
-    suite: str
-    identity: str
-    bounds: str
-    passed: bool
-    counterexample: str | None = None
+    __slots__ = ("suite", "identity", "bounds", "passed", "counterexample")
+
+    def __init__(
+        self, suite: str, identity: str, bounds: str, passed: bool, counterexample: str | None = None
+    ) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def _shown(got: SparsePolynomial | int, want: SparsePolynomial | int) -> tuple[str, ...]:

@@ -8,9 +8,16 @@ every name it imports must be read somewhere in it or listed in its __all__.
 is exempt.  Every module-level function, class or assigned name with one
 leading underscore must be loaded, read as an attribute or imported
 somewhere in the package.
+
+A fresh interpreter that loads the CLI, as a one-shot `lahbell` run does,
+must not pull in dataclasses, json or the inspect, ast, dis and tokenize
+modules that dataclasses loads: they cost a cold start more than the
+package itself.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +131,20 @@ def test_a_leftover_private_helper_is_caught():
         "bell.py": "_SPECS = object()\n_gone = 2\nclass _Kept:\n    pass\n_Kept()\n",
     }
     assert _orphans(sources) == ["verify.py: _sym (line 3)", "bell.py: _gone (line 2)"]
+
+
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json")
+
+
+def test_loading_the_cli_imports_no_heavy_module():
+    """The benchmark's setup line in one isolated interpreter; a module the
+    interpreter's own start-up loaded is not the package's doing."""
+    code = (
+        f"import sys; before = set(sys.modules); sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import lahbell, lahbell.cli; lahbell.cli.build_parser(); "
+        f"print(sorted((set(sys.modules) - before) & set({HEAVY!r})))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert run.stdout == "[]\n"
