@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import deque
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bell import (
     FACTORIALS,
@@ -54,11 +55,11 @@ def _total(n: int, r: int) -> int:
 # The lambdas look up the library functions by name when called, so a wrapper
 # put on a module-level name (tracing, a test's substitute) still applies.
 _FOR_TABLE = {
-    "lah": ((), (), lambda a: {"kind": "triangle", "rows": list(_rows(a.n_max, 0))}),
-    "rlah": (("r",), (), lambda a: {"kind": "triangle", "rows": list(_rows(a.n_max, a.r))}),
-    "lah-bell": ((), (), lambda a: {"kind": "sequence", "values": list(_row_totals(a.n_max, 0))}),
+    "lah": ((), (), lambda a: {"kind": "triangle", "rows": _rows(a.n_max, 0)}),
+    "rlah": (("r",), (), lambda a: {"kind": "triangle", "rows": _rows(a.n_max, a.r)}),
+    "lah-bell": ((), (), lambda a: {"kind": "sequence", "values": _row_totals(a.n_max, 0)}),
     "r-lah-bell": (
-        ("r",), (), lambda a: {"kind": "sequence", "values": list(_row_totals(a.n_max, a.r))}
+        ("r",), (), lambda a: {"kind": "sequence", "values": _row_totals(a.n_max, a.r)}
     ),
 }
 _FOR_VALUE = {
@@ -240,16 +241,16 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> di
     }
 
 
-def _render_text(record: dict) -> str:
+def _render_text(record: dict) -> Iterable[str]:
     kind = record["kind"]
     if kind == "triangle":
-        return "".join(" ".join(str(v) for v in row) + "\n" for row in record["rows"])
+        return (" ".join(map(str, row)) + "\n" for row in record["rows"])
     if kind == "sequence":
-        return "".join(str(v) + "\n" for v in record["values"])
+        return (str(v) + "\n" for v in record["values"])
     if kind == "number":
-        return str(record["value"]) + "\n"
+        return (str(record["value"]) + "\n",)
     if kind == "polynomial":
-        return record["poly"].to_text() + "\n"
+        return (record["poly"].to_text() + "\n",)
     lines = []
     for item in record["results"]:
         status = "PASS" if item.passed else "FAIL"
@@ -259,32 +260,31 @@ def _render_text(record: dict) -> str:
         lines.append(line)
     passed = sum(1 for item in record["results"] if item.passed)
     lines.append(f"{passed} of {len(record['results'])} identities passed")
-    return "".join(line + "\n" for line in lines)
+    return ("".join(line + "\n" for line in lines),)
 
 
-def _render_csv(record: dict) -> str:
+def _render_csv(record: dict) -> Iterator[str]:
     if record["kind"] == "triangle":
-        lines = ["n,k,value\n"]
-        lines.extend(
-            "".join([f"{n},{k},{value}\n" for k, value in enumerate(row)])
-            for n, row in enumerate(record["rows"])
-        )
+        yield "n,k,value\n"
+        for n, row in enumerate(record["rows"]):
+            prefix = f"{n},"
+            yield "".join([f"{prefix}{k},{value}\n" for k, value in enumerate(row)])
     else:
-        lines = ["n,value\n"]
-        lines.extend(f"{n},{value}\n" for n, value in enumerate(record["values"]))
-    return "".join(lines)
+        yield "n,value\n"
+        yield from (f"{n},{value}\n" for n, value in enumerate(record["values"]))
 
 
-def _spliced(head: str, parts: list[str], sep: str, tail: str) -> str:
-    """head + sep.join(parts) + tail in one join: head and tail are glued onto
-    the end parts, so the joined text is never copied again.  parts must not
-    be empty, and it is changed in place."""
-    parts[0] = head + parts[0]
-    parts[-1] += tail
-    return sep.join(parts)
+def _pieces(head: str, parts: Iterator[str], sep: str, tail: str) -> Iterator[str]:
+    """head + sep.join(parts) + tail in pieces: head with the first part, then
+    sep and each later part, then tail.  parts must not be empty."""
+    yield head + next(parts)
+    for part in parts:
+        yield sep
+        yield part
+    yield tail
 
 
-def _render_json(record: dict) -> str:
+def _render_json(record: dict) -> Iterable[str]:
     import json  # here, not at the top: only a --format json run loads it
 
     kind = record["kind"]
@@ -302,16 +302,17 @@ def _render_json(record: dict) -> str:
         # decimal string needs no escaping.
         head = json.dumps(payload, indent=2)[:-2]
         if kind == "polynomial":
-            return head + ',\n  "terms": ' + record["poly"]._json_terms() + "\n}\n"
+            return (head + ',\n  "terms": ' + record["poly"]._json_terms() + "\n}\n",)
         if kind == "triangle":
-            rows = ['",\n      "'.join(map(str, row)) for row in record["rows"]]
-            return _spliced(
-                head + ',\n  "rows": [\n    [\n      "', rows,
+            return _pieces(
+                head + ',\n  "rows": [\n    [\n      "',
+                ('",\n      "'.join(map(str, row)) for row in record["rows"]),
                 '"\n    ],\n    [\n      "', '"\n    ]\n  ]\n}\n',
             )
-        values = list(map(str, record["values"]))
-        return _spliced(head + ',\n  "values": [\n    "', values, '",\n    "', '"\n  ]\n}\n')
-    return json.dumps(payload, indent=2) + "\n"
+        return _pieces(
+            head + ',\n  "values": [\n    "', map(str, record["values"]), '",\n    "', '"\n  ]\n}\n'
+        )
+    return (json.dumps(payload, indent=2) + "\n",)
 
 
 _COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "value": _cmd_value, "verify": _cmd_verify}
@@ -325,12 +326,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             record = _COMMANDS[args.command](parser, args)
         except (ValueError, IntegralityError) as exc:
             # Only the computation is guarded: an error while rendering is
-            # not a refused input.  The usage text would not help here, so
-            # this is parser.error's message and exit status alone.
+            # not a refused input.  A table's rows are computed as they are
+            # written, by recurrences that refuse nothing _require lets by.
+            # The usage text would not help here, so this is parser.error's
+            # message and exit status alone.
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
         # argparse offers csv only to table, whose records are all tables
         render = {"text": _render_text, "csv": _render_csv, "json": _render_json}[args.format]
-        sys.stdout.write(render(record))
+        write = sys.stdout.write
+        try:
+            for piece in render(record):
+                write(piece)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (head, say): stop quietly.  What is
+            # still buffered goes to devnull, so the flush at exit is silent.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if record["kind"] == "verdict":
             return 0 if all(item.passed for item in record["results"]) else 1
         return 0

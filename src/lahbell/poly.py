@@ -266,6 +266,10 @@ class Monomial:
     def __hash__(self) -> int:
         return hash(self._pairs)
 
+    def __reduce__(self) -> tuple:
+        # a slotted class needs this, or __getstate__, to pickle at protocols 0 and 1
+        return self._raw, (self._pairs,)
+
     def sort_key(self) -> tuple:
         """Ascending sort by this key lists monomials in descending graded lex."""
         # a monomial sorts and renders as its term of coefficient 1
@@ -311,6 +315,9 @@ class SparsePolynomial:
         obj = object.__new__(cls)
         obj._terms = clean
         return obj
+
+    def __reduce__(self) -> tuple:
+        return self._raw, (self._terms,)
 
     @property
     def is_zero(self) -> bool:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,11 +256,11 @@ _queries = st.dictionaries(
 @example(term(1, x1=1, x2=2) + term(5, x1=2, x2=1) - term(1, x1=3) + term(2, x2=3), {})
 def test_polynomial_renderings_match_the_reference(poly, query):
     record = {"kind": "polynomial", "query": query, "poly": poly}
-    assert cli._render_text(record) == _reference_text(poly) + "\n"
+    assert "".join(cli._render_text(record)) == _reference_text(poly) + "\n"
     obj = _reference_json_obj(poly)
     assert poly.to_json_obj() == obj
     want = json.dumps({"kind": "polynomial", "query": query, **obj}, indent=2)
-    assert cli._render_json(record) == want + "\n"
+    assert "".join(cli._render_json(record)) == want + "\n"
 
 
 def _reference_csv(record):
@@ -301,8 +302,44 @@ def test_table_renderings_match_the_reference(record):
     else:
         shown = {"values": [str(v) for v in record["values"]]}
     payload = {"kind": record["kind"], "query": record["query"], **shown}
-    assert cli._render_json(record) == json.dumps(payload, indent=2) + "\n"
-    assert cli._render_csv(record) == _reference_csv(record)
+    assert "".join(cli._render_json(record)) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(cli._render_csv(record)) == _reference_csv(record)
+
+
+class _CountingSink:
+    """A stdout that counts the characters it is given and keeps none of them."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv", [["table", "rlah", "--n-max", "150", "--r", "2"], ["table", "lah-bell", "--n-max", "600"]]
+)
+def test_a_table_is_written_without_holding_the_table(monkeypatch, argv, fmt):
+    """Rows go out as the recurrence makes them, so the traced peak stays far
+    below the output: holding every row, or the whole text, is a multiple of it."""
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    # the same command at n_max 0 builds the parser and imports json first
+    assert cli.main([*argv[:2], "--n-max", "0", *argv[4:], "--format", fmt]) == 0
+    sink.size = 0
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.size / 10, (peak, sink.size)
 
 
 def test_csv_sequence_layout(capsys):
@@ -585,3 +622,18 @@ def test_package_form_prints_what_main_prints(capsys):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert (done.returncode, done.stdout) == (code, out.encode())
+
+
+def test_a_reader_closing_the_pipe_ends_the_command_quietly():
+    """head -c 5 on a table of megabytes: the writes that follow the close
+    stop the command, which exits 0 with nothing on stderr."""
+    argv = [sys.executable, "-m", "lahbell", "table", "lah", "--n-max", "300"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            head = proc.stdout.read(5)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (head, proc.returncode, err) == (b"1\n0 1", 0, b"")

@@ -11,6 +11,13 @@ polynomials.  n! times the coefficient of t^n is checked against gf_expand,
 against the library's closed forms and row walks, and against the
 recurrences (exact_core._rows and _row_totals) that `table` and `value`
 print.
+
+The generic families take symbolic sequences a and b, with ordinary weights:
+A(t) = sum_m a_(m+1) t^(m+1) and B(t) = sum_m b_(m+1) t^m, and
+- the incomplete r-Lah-Bell polynomials, n! [t^n] of (1/k!) A(t)^k B(t)^(2r);
+- the complete r-Lah-Bell polynomials, n! [t^n] of exp(x A(t)) B(t)^(2r).
+These are checked against gf_expand and against the witness sums
+incomplete_r_lah_bell and complete_r_lah_bell.
 """
 
 import math
@@ -22,10 +29,13 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_exp, rs_mul, rs_pow, rs_series_inversion
 from sympy.polys.rings import ring
 
-from lahbell.bell import lah_bell_polynomial
+from lahbell.bell import (
+    SequenceSpec, complete_r_lah_bell, incomplete_r_lah_bell, lah_bell_polynomial,
+)
 from lahbell.exact_core import (
     _row_totals, _rows, lah, lah_bell_number, r_lah_bell_number, rlah,
 )
+from lahbell.poly import SCALAR_X, var
 from lahbell.series import gf_expand
 
 N = 30
@@ -92,3 +102,59 @@ def test_row_polynomials_at_an_int_match_the_outside_expansion(r, x):
     assert _ints(gf_expand("r-lah-bell-poly", N, r=r, x=x)) == want
     assert [lah_bell_polynomial(n, r, x).as_int() for n in range(N + 1)] == want
     assert [sum(c * x**k for k, c in enumerate(row)) for row in _rows(N, r)] == want
+
+
+# The generic families over symbolic a and b, to a smaller order: every
+# coefficient is a polynomial in x, a1..a(G+1) and b1..b(G+1).
+G = 6
+_NAMES = ["t", "x", *(f"{s}{i}" for s in "ab" for i in range(1, G + 2))]
+_RING, GT, GX, *_AB = ring(_NAMES, sympy.QQ)
+GA = sum(a * GT ** (m + 1) for m, a in enumerate(_AB[:G]))  # A(t), from t^1
+GB = sum(b * GT**m for m, b in enumerate(_AB[G + 1 : 2 * G + 2]))  # B(t), from t^0
+SYMBOLIC_A, SYMBOLIC_B = SequenceSpec.symbolic("a"), SequenceSpec.symbolic("b")
+X = var(SCALAR_X)
+
+
+def _generic_values(head, r):
+    """head * B(t)^(2r) as n! [t^n] for n <= G, each a dict from the exponents
+    of x, a1.., b1.. to an integer coefficient."""
+    series = rs_mul(head, rs_pow(GB, 2 * r, GT, G + 1), GT, G + 1) if r else head
+    values = [{} for _ in range(G + 1)]
+    for (n, *rest), coeff in series.terms():
+        value = coeff * math.factorial(n)
+        assert value.denominator == 1, (n, rest, value)
+        values[n][tuple(rest)] = int(value.numerator)
+    return values
+
+
+def _exponents(polynomial):
+    """The same dict for a lahbell polynomial."""
+    position = {name: i for i, name in enumerate(_NAMES[1:])}
+    values = {}
+    for mono, coeff in polynomial.terms():
+        exps = [0] * len(position)
+        for v, e in mono.pairs:
+            exps[position[v.name]] = e
+        values[tuple(exps)] = coeff
+    return values
+
+
+@pytest.mark.parametrize("r", RS)
+def test_incomplete_generic_polynomials_match_the_outside_expansion(r):
+    for k in range(G + 1):
+        head = rs_pow(GA, k, GT, G + 1) * sympy.QQ(1, math.factorial(k))
+        want = _generic_values(head, r)
+        got = gf_expand("incomplete-generic", G, k=k, r=r, a=SYMBOLIC_A, b=SYMBOLIC_B)
+        assert [_exponents(p) for p in got] == want, k
+        for n in range(G + 1):
+            witnessed = incomplete_r_lah_bell(n, k, r, SYMBOLIC_A, SYMBOLIC_B)
+            assert _exponents(witnessed) == want[n], (n, k)
+
+
+@pytest.mark.parametrize("r", RS)
+def test_complete_generic_polynomials_match_the_outside_expansion(r):
+    want = _generic_values(rs_exp(GX * GA, GT, G + 1), r)
+    got = gf_expand("complete-generic", G, r=r, x=X, a=SYMBOLIC_A, b=SYMBOLIC_B)
+    assert [_exponents(p) for p in got] == want
+    for n in range(G + 1):
+        assert _exponents(complete_r_lah_bell(n, r, X, SYMBOLIC_A, SYMBOLIC_B)) == want[n], n

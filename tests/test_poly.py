@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, canonical text form, and JSON round-trips."""
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -530,3 +531,13 @@ def test_rescale_and_zero_images_multiply_no_polynomials(monkeypatch):
         {_x1: 2 * point[_x1], _x2: 6 * point[_x2], _a1: -point[_a1], SCALAR_X: 0}
     )
     assert vanished == 0
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_monomials_and_polynomials_pickle_at_every_protocol(protocol):
+    mono = Monomial({Variable("a", 12): 2, SCALAR_X: 1})
+    p = term(-3, x1=2, x10=1) + var(SCALAR_X) ** 11 - 7
+    for value in (mono, Monomial(), p, ZERO):
+        again = pickle.loads(pickle.dumps(value, protocol))
+        assert type(again) is type(value)
+        assert again == value and hash(again) == hash(value) and str(again) == str(value)

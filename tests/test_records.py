@@ -107,9 +107,7 @@ def test_assignment_and_deletion_raise(make, fields, text):
 @ROWS
 def test_pickle_and_copies_give_an_equal_record(make, fields, text):
     record = make()
-    # from protocol 2: the slotted SparsePolynomial in a spec or series has
-    # no __getstate__, which protocols 0 and 1 need
-    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     copies = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
     copies += [copy.copy(record), copy.deepcopy(record)]
     for again in copies:
