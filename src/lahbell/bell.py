@@ -22,19 +22,15 @@ works out a k-part's side again only when the k-part is not the object the
 previous witness had.  It keeps, per side, a table of slot terms
 (i, v) -> (monomial pairs, int factor, coefficient divisor), each read from
 the spec on first use, and next to it a poly._FirstUse table of whole-part
-sides, part -> the same three fields for the part.  A side over a uniform
-spec carries its fill count as one pair under a reserved negative code, one
-per side, so every term is keyed by its joined pairs alone.  It builds no
+sides, part -> the same three fields for the part.  It builds no
 polynomial per witness: it joins the two sides' pairs by one tuple
 concatenation when the k side's codes sort first, as they do for every
 input a command or suite passes, and by one poly._merge otherwise (two
 specs of one symbolic family, or sides whose families sort the other way
 round).  It takes the coefficient by one divmod and sums int coefficients
 in a dict keyed by the joined pairs, which is the result as it stands.
-Only a call with a uniform spec regroups its keys by their fill pairs and
-multiplies each group by its fills' powers, taken with ** and kept nowhere:
-the uniform fills that verify passes are one term each, which ** raises in
-one step.
+Every witness has k plain blocks and rho marked ones, so a uniform side
+is summed as ONES and its fill enters once, as one power of the sum.
 
 Outside a reuse scope (exact_core._reuse) the witnesses are read lazily,
 the side of each k-part is worked out once per k-part and that of each
@@ -49,7 +45,9 @@ total term by term, so it builds no product polynomial per k.
 complete_bell and complete_lah_bell take their witnesses from
 _exponent_vectors, which enumerates all weight-n vectors directly rather
 than through enumerate_pi, so checking them against the sum of the
-incomplete polynomials over k stays a comparison of two enumerations.
+incomplete polynomials over k stays a comparison of two enumerations.  Over
+a uniform spec they sum the partial polynomials, as a weight-n vector fixes
+no block count to raise the fill to.
 complete_r_lah_bell_expansion has no term loop of its own: it weights
 complete_lah_bell(k, xs) by n!/k! and by a composition sum over ys, which
 it reads off one truncated power of the ys series, so comparing it with
@@ -237,24 +235,17 @@ def _first_code(family: str) -> int:
     return Variable(family, 1).code
 
 
-# The reserved code under which a side over a uniform spec carries its fill
-# count, one per side (k-part, r-part) so two fills never add up.  No
-# variable has a negative code, so a fill pair sorts before every variable.
-_FILL_CODES = (-2, -1)
-
-
 class _Factors(dict):
     """(i, v) -> the term of slot i at multiplicity v, filled on first use.
 
     An entry is (pairs, factor, weight): the slot contributes the code-sorted
     monomial pairs, times the int factor, over weight = v! or v! * (i!)^v.
     A symbolic spec gives the one pair (code of its i-th variable, v); ones,
-    factorials and explicit values give no pairs and the int value**v; a
-    uniform spec gives no pairs, and side() gives the whole part the one
-    pair (fill code, block count), the fill code being the side's reserved
-    negative code in _FILL_CODES.  The first use of a slot still reads
-    spec.at(i + shift), so a too-short explicit sequence fails at the first
-    index the sum needs, and a slot that fails is not kept.
+    factorials and explicit values give no pairs and the int value**v.  A
+    uniform spec has no table: _witness_sum reads ONES in its place.  The
+    first use of a slot still reads spec.at(i + shift), so a too-short
+    explicit sequence fails at the first index the sum needs, and a slot
+    that fails is not kept.
 
     shift is 0 for the k-part and for plain witnesses, whose slots start at
     i = 1, and 1 for the r-part, whose slots start at i = 0 and whose slot i
@@ -275,9 +266,8 @@ class _Factors(dict):
         self._block_weights = block_weights
         # slot i of a symbolic spec is the variable with code code0 + i
         self._code0 = _first_code(spec.family) - 1 + shift if spec.kind == "symbolic" else 0
-        self.fill_code = _FILL_CODES[shift] if spec.kind == "uniform" else None
         # the lowest code in this table's pairs, None when they have none
-        self.lead = _first_code(spec.family) if spec.kind == "symbolic" else self.fill_code
+        self.lead = _first_code(spec.family) if spec.kind == "symbolic" else None
 
     def __missing__(self, key: tuple[int, int]) -> tuple[tuple, int, int]:
         i, v = key
@@ -288,8 +278,6 @@ class _Factors(dict):
             weight *= math.factorial(i) ** v
         if spec.kind == "symbolic":
             entry = (((self._code0 + i, v),), 1, weight)
-        elif spec.kind == "uniform":
-            entry = ((), 1, weight)
         else:
             entry = ((), value.as_int() ** v, weight)
         self[key] = entry
@@ -305,8 +293,6 @@ class _Factors(dict):
                 pairs += p
                 factor *= f
                 weight *= w
-        if self.fill_code is not None and any(part):
-            pairs = ((self.fill_code, sum(part)),)
         return pairs, factor, weight
 
 
@@ -345,16 +331,26 @@ def _witness_sum(
     outside one the side of a k-part is worked out once per k-part, and
     that of an r-part once per call.  How the pairs join is fixed once per
     call, so that a joined key stays code-sorted: a numeric side has no
-    pairs, and a uniform side only its fill pair, whose negative code sorts
-    first.  When the k side's lowest code sorts below the r side's, or
+    pairs.  When the k side's lowest code sorts below the r side's, or
     either side has no pairs, the join is one concatenation; otherwise it
-    is one _merge.  Without a uniform spec the pairs-keyed dict is the
-    polynomial.  With one, the keys are regrouped by their leading fill
-    pairs, each group is multiplied by its fills raised to their counts, and
-    the groups are summed.
+    is one _merge.  The pairs-keyed dict is the polynomial.
+
+    Every witness has k plain blocks and rho marked ones, so a uniform side
+    contributes its fill to the power k, or rho, to every term.  A call with
+    one sums with ONES on that side and multiplies the sum by that power;
+    the enumerator must then fix k, which _exponent_vectors does not.
     """
     n, k, rho = (*args, 0, 0)[:3]
     _check_nonnegative_int(n=n, rho=rho, k=k)
+    if a.kind == "uniform" or b.kind == "uniform":
+        total = _witness_sum(
+            ONES if a.kind == "uniform" else a, ONES if b.kind == "uniform" else b,
+            block_weights, enumerator, *args,
+        )
+        for spec, count in ((a, k), (b, rho)):
+            if spec.kind == "uniform" and count:
+                total = total * spec.fill**count
+        return total
     kept = _MEMO.get()
     paired = len(args) == 3
     witnesses = _witnesses(kept, enumerator, args)
@@ -384,22 +380,7 @@ def _witness_sum(
         terms[key] = terms.get(key, 0) + coeff
     if not all(terms.values()):
         terms = {pairs: coeff for pairs, coeff in terms.items() if coeff}
-    if a.kind != "uniform" and b.kind != "uniform":
-        return SparsePolynomial._raw(terms)
-    by_fills: dict[tuple, dict[tuple, int]] = {}
-    for pairs, coeff in terms.items():
-        cut = 0
-        while cut < len(pairs) and pairs[cut][0] < 0:
-            cut += 1
-        by_fills.setdefault(pairs[:cut], {})[pairs[cut:]] = coeff
-    acc = PolyAccumulator()
-    for fills, data in by_fills.items():
-        part = SparsePolynomial._raw(data)
-        for code, count in fills:
-            spec = a if code == k_slots.fill_code else b
-            part = part * spec.fill ** count
-        acc.add(part)
-    return acc.build()
+    return SparsePolynomial._raw(terms)
 
 
 def incomplete_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
@@ -416,7 +397,11 @@ def complete_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
 
     Enumerates sum(i * j_i) = n directly rather than grading by block count,
     so the decomposition into incomplete_bell values is a genuine cross-check.
+    A weight-n vector fixes no block count, so over a uniform spec this is
+    the sum of the partial polynomials instead.
     """
+    if xs.kind == "uniform":
+        return complete_r_bell(n, 0, xs, xs)
     return _witness_sum(xs, xs, True, _exponent_vectors, n)
 
 
@@ -455,7 +440,10 @@ def incomplete_lah_bell(n: int, k: int, xs: SequenceSpec) -> SparsePolynomial:
 
 
 def complete_lah_bell(n: int, xs: SequenceSpec) -> SparsePolynomial:
-    """Sum of the ordered-block shape over all weight-n vectors."""
+    """Sum of the ordered-block shape over all weight-n vectors, or over a
+    uniform spec, which fixes no block count, the sum of the partial ones."""
+    if xs.kind == "uniform":
+        return complete_r_lah_bell(n, 0, 1, xs, xs)
     return _witness_sum(xs, xs, False, _exponent_vectors, n)
 
 

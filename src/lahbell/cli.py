@@ -14,7 +14,6 @@ import argparse
 import functools
 import os
 import sys
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .bell import (
@@ -36,17 +35,14 @@ from .exact_core import (
     _row_totals,
     _rows,
     lah,
+    lah_bell_number,
+    r_lah_bell_number,
     rlah,
 )
 from .poly import SCALAR_X, var
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "run"]
-
-
-def _total(n: int, r: int) -> int:
-    """The row total at n: the recurrence's last value, keeping none before it."""
-    return deque(_row_totals(n, r), maxlen=1).pop()
 
 
 # Each command's families: family -> (required flags, further flags accepted,
@@ -65,8 +61,8 @@ _FOR_TABLE = {
 _FOR_VALUE = {
     "lah": (("k",), (), lambda a: lah(a.n, a.k)),
     "rlah": (("k", "r"), (), lambda a: rlah(a.n, a.k, a.r)),
-    "lah-bell": ((), (), lambda a: _total(a.n, 0)),
-    "r-lah-bell": (("r",), (), lambda a: _total(a.n, a.r)),
+    "lah-bell": ((), (), lambda a: lah_bell_number(a.n)),
+    "r-lah-bell": (("r",), (), lambda a: r_lah_bell_number(a.n, a.r)),
     "lah-bell-poly": (("r", "x"), (), lambda a: lah_bell_polynomial(a.n, a.r, a.x).as_int()),
 }
 # poly entries carry, before the computation, the symbolic family names that

@@ -4,21 +4,22 @@ Everything here returns plain Python ints, so there is no overflow and no
 rounding anywhere.  No computation in the package uses rational arithmetic:
 every quotient goes through exact_div, which raises IntegralityError when the
 division is not exact.  The closed form rlah needs none: it takes n!/k! as a
-falling product, and lah and lah_bell_number are its r = 0 cases.
+falling product, and lah is its r = 0 case.
 
 A whole row of the triangle comes from one closed-form entry and the
 neighbour ratio rlah(n, k+1, r) = rlah(n, k, r) * (n-k) / ((k+1)(k+2r)),
-one big-int product and one exact division per entry (_rlah_walk).  The row
-totals lah_bell_number and r_lah_bell_number sum that walk; lah and rlah
-keep the direct formula for single entries.
+one big-int product and one exact division per entry (_rlah_walk), which
+lah_bell_polynomial reads; lah and rlah keep the direct formula for single
+entries.
 
-The CLI's tables read every row or every total up to a bound, so they build
-each from the one before instead: _rows by the triangle recurrence
+The CLI's triangles read every row up to a bound, so _rows builds each from
+the one before by the triangle recurrence
 rlah(n+1, k, r) = rlah(n, k-1, r) + (n+k+2r) * rlah(n, k, r), with no
-division, and _row_totals by the three-term recurrence of the row totals,
-O(n) big-int steps for a table where the walk takes O(n^2).  The library
-functions keep the walk, which the verifier compares against the witness
-sums and the series; the tests check both recurrences against the walk.
+division.  The row totals have one route, the three-term recurrence of
+_row_totals, O(n) big-int steps where summing the walk takes O(n^2):
+lah_bell_number and r_lah_bell_number return its last value, and the
+verifier compares that against the witness sums and the series; the tests
+check both recurrences against the walk.
 
 _check_nonnegative_int is the package's one rule for a count argument (an n,
 k, r, rho, order, exponent or index): a bool or any other non-int raises
@@ -30,8 +31,7 @@ _reuse() is the package's one reuse scope.  While it is open, the one dict
 _MEMO holds keeps the witness streams, each as the enumerator yielded it,
 read by partitions._witnesses for the witness sums in bell and for the
 routes lah_via_pi and rlah_via_lambda; the r-part lists of the paired
-streams, one table per rho; the slot and side tables of the witness sums,
-where a uniform side keys its fill count under a reserved negative code;
+streams, one table per rho; the slot and side tables of the witness sums;
 and the head and tail series of gf_expand in series.  Every key is a tuple
 that starts with its kind.  A later call with the same inputs reads them
 instead of building them again.
@@ -247,9 +247,12 @@ def lah_bell_number(n: int) -> int:
 
 
 def r_lah_bell_number(n: int, r: int) -> int:
-    """Row total of the r-extended triangle: sum of rlah(n, k, r) over k."""
+    """Row total of the r-extended triangle: sum of rlah(n, k, r) over k,
+    the last value of _row_totals(n, r)."""
     _check_nonnegative_int(n=n, r=r)
-    return sum(_rlah_walk(n, r))
+    for total in _row_totals(n, r):
+        pass
+    return total
 
 
 def _rows(n_max: int, r: int) -> Iterator[list[int]]:

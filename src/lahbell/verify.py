@@ -28,9 +28,9 @@ All but faadibruno take their bounds or points from a grid helper.
 Setup that would repeat per case is done once.  The suites read their shared
 inputs from module constants: one SequenceSpec per symbolic family, the
 scalar x and one uniform spec over it, so a run makes no spec and the reuse
-scope finds each spec's tables by identity.  The weight maps of prop2, eq23
-and eq30 are prepared (poly._PreparedMap) when the suite starts, so
-substitute_all analyses each map once, not once per case.
+scope finds each symbolic spec's tables by identity.  The weight maps of
+prop2, eq23 and eq30 are prepared (poly._PreparedMap) when the suite starts,
+so substitute_all analyses each map once, not once per case.
 """
 
 from __future__ import annotations

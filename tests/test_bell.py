@@ -869,8 +869,9 @@ _MIXED_SPECS = [
 
 
 def test_no_reserved_fill_code_is_left_in_a_witness_sum():
-    """A uniform side keys its fill count under a negative code, which the
-    sum must turn back into powers of the fill before it returns."""
+    """Every monomial key holds variable codes only, which are nonnegative:
+    a uniform side enters a witness sum as one power of its fill, never as
+    a key of its own."""
     x = var(SCALAR_X)
     for a in _MIXED_SPECS:
         for b in _MIXED_SPECS:

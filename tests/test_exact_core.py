@@ -248,7 +248,7 @@ def test_walked_rows_equal_the_closed_form():
 @pytest.mark.parametrize("r", range(5))
 def test_recurrence_totals_equal_the_walked_totals(r):
     for n_max in (0, 1, 2, 300):
-        want = [r_lah_bell_number(n, r) for n in range(n_max + 1)]
+        want = [sum(_rlah_walk(n, r)) for n in range(n_max + 1)]
         assert list(_row_totals(n_max, r)) == want, (n_max, r)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lahbell import bell, cli, partitions, poly, series, verify
+from lahbell import bell, cli, exact_core, partitions, poly, series, verify
 from lahbell.bell import ONES, SequenceSpec, incomplete_bell, incomplete_r_lah_bell
 from lahbell.exact_core import _MEMO, _reuse
 from lahbell.poly import Monomial, SparsePolynomial, const, var
@@ -560,6 +560,27 @@ def test_a_wrong_r_part_weight_fails_corollary6_alone(monkeypatch):
         (item.identity, item.counterexample) for item in run_suites("all", 3, 1) if not item.passed
     ]
     assert failed == [(C6, "n=1 k=0 r=1: 3 vs 2")]
+
+
+def test_a_wrong_row_total_fails_theorem1_and_the_series_row_totals(monkeypatch):
+    """lah_bell_number and r_lah_bell_number return the last value of
+    exact_core._row_totals, the route that `table` and `value` print, so
+    that recurrence off by one at n = 9 fails the two identities that read
+    a row total, and no other."""
+    row_totals = exact_core._row_totals
+
+    def off_at_nine(n_max, r):
+        for n, total in enumerate(row_totals(n_max, r)):
+            yield total + (n == 9)
+
+    monkeypatch.setattr(exact_core, "_row_totals", off_at_nine)
+    failed = [
+        (item.identity, item.counterexample) for item in run_suites("all", 12, 2) if not item.passed
+    ]
+    assert failed == [
+        (T1, "n=9: closed=4596554 bell=4596553 series=4596553"),
+        (SO_ROWS, "n=9 r=0: 4596553 vs 4596554"),
+    ]
 
 
 def test_a_fault_in_the_shared_r_part_lists_is_reported(monkeypatch):
