@@ -76,7 +76,8 @@ class TruncatedSeries(_Record):
 
     def egf_coefficient(self, n: int) -> SparsePolynomial:
         """n! times the t^n coefficient: a lattice lookup."""
-        if n < 0 or n > self.order:
+        _check_nonnegative_int(n=n)
+        if n > self.order:
             raise ValueError(f"coefficient {n} exceeds series order {self.order}")
         return self.coeffs[n]
 
@@ -426,18 +427,22 @@ class DerivativeCheck(_Record):
 def faa_di_bruno_check(m: int) -> DerivativeCheck:
     """Check the m-th derivative of exp(t/(1-t)) at 0 two independent ways.
 
-    Route one takes the series exponential to order m, differentiates it m
-    times and reads the constant term, lattice entry m, which no higher
-    order changes.  Route two evaluates the complete Bell sum at factorial
-    arguments, which is what the chain rule for exp(f) prescribes when every
-    derivative of f at 0 is j!.
+    Route one is _series_derivative(m), the series route that verify's
+    faadibruno suite compares too.  Route two evaluates the complete Bell
+    sum at factorial arguments, which is what the chain rule for exp(f)
+    prescribes when every derivative of f at 0 is j!.
     """
     _check_nonnegative_int(m=m)
     if m < 1:
         raise ValueError("m must be at least 1")
+    return DerivativeCheck(m, _series_derivative(m), complete_bell(m, FACTORIALS).as_int())
+
+
+def _series_derivative(m: int) -> int:
+    """The m-th derivative of exp(t/(1-t)) at 0, m >= 1, by the series: take
+    the series exponential to order m, differentiate it m times and read the
+    constant term, lattice entry m, which no higher order changes."""
     s = exp(from_sequence(ONES, "ordinary", 1, m))
     for _ in range(m):
         s = s.derivative()
-    series_value = s.coeffs[0].as_int()
-    partition_value = complete_bell(m, FACTORIALS).as_int()
-    return DerivativeCheck(m, series_value, partition_value)
+    return s.coeffs[0].as_int()

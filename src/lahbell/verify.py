@@ -5,25 +5,23 @@ routes (closed form, witness-sum, generating series) and reports exact
 equality.  Suites are keyed by short stable labels; each returns one result
 per identity.
 
-There is one verdict path.  A suite lays out each identity's comparisons as
-a lazy stream of cases (template, values, got, want); _mismatches turns the
-cases whose sides differ into counterexample text "where: got vs want",
-where is template.format(*values), and _verdict reports the first of them,
-or a pass when there is none.  A label is formatted only for a
-counterexample, never for a case that passes.  The stream is consumed only
-up to that first counterexample, so nothing after it is computed.
+There is one verdict path.  Every identity is declared as one _compare call:
+a grid and two or three callable sides.  A grid is the label template, the
+bounds text and the points; the helpers _ns, _n_k, _n_r and _n_k_r return
+the common ones, r varying slowest.  At each point _compare evaluates the
+sides in order, and the first point where a later side differs from the
+first is the counterexample "where: s1 vs s2 [vs s3]", where is
+template.format(*point).  A label is formatted only for a counterexample,
+never for a case that passes, and nothing after it is computed.  Each side
+is a lambda that looks its library function up by name when it is called,
+so a function replaced on this module, by a test's fault or a tracer, is
+the one it reads.
 
-A two-sided identity is declared as one _compare call: a grid and two
-callable sides.  A grid helper (_ns, _n_k, _n_r, _n_k_r) returns the label
-template, the bounds text and the points, r varying slowest, and _compare
-evaluates got(*point), then want(*point), at each point.  Each side is a
-lambda that looks its library function up by name when it is called, so a
-function replaced on this module, by a test's fault or a tracer, is the one
-it reads.  Four suites keep their own shape: theorem1 compares three
-routes and faadibruno reads a report, so both write their own
-counterexample text; eq23 builds each base polynomial once for seven
-scalings; series-oracle expands each parameter point once for every n.
-All but faadibruno take their bounds or points from a grid helper.
+A value that several points share (theorem1's series, eq23's base
+polynomial, each series-oracle expansion) comes from a
+functools.lru_cache(maxsize=1) on a function local to the suite call.  The
+grid varies the parameters it depends on slowest, so one entry builds each
+value once, and nothing outlives the suite.
 
 Setup that would repeat per case is done once.  The suites read their shared
 inputs from module constants: one SequenceSpec per symbolic family, the
@@ -36,9 +34,10 @@ so substitute_all analyses each map once, not once per case.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .bell import (
     FACTORIALS,
@@ -63,7 +62,7 @@ from .partitions import lah_via_pi, rlah_via_lambda
 from .poly import (
     _INDEXED_FAMILIES, SCALAR_X, SparsePolynomial, Variable, _PreparedMap, const, indexed_var, var,
 )
-from .series import GF_FAMILIES, faa_di_bruno_check, gf_expand
+from .series import GF_FAMILIES, _series_derivative, gf_expand
 
 __all__ = ["IdentityResult", "SUITE_NAMES", "run_suites"]
 
@@ -83,10 +82,10 @@ class IdentityResult(_Record):
         object.__setattr__(self, "counterexample", counterexample)
 
 
-def _shown(got: SparsePolynomial | int, want: SparsePolynomial | int) -> tuple[str, ...]:
-    """Both sides as text: ints in full, polynomials cut at 60 characters, and
+def _shown(*values: SparsePolynomial | int) -> tuple[str, ...]:
+    """Each side as text: ints in full, polynomials cut at 60 characters, and
     from 20 characters before their first difference if they agree at the cut."""
-    texts = [v if isinstance(v, int) else v.to_text() for v in (got, want)]
+    texts = [v if isinstance(v, int) else v.to_text() for v in values]
     same = len(os.path.commonprefix(texts)) if all(isinstance(t, str) for t in texts) else 0
     start = same - 20 if same >= 57 and max(map(len, texts)) > 60 else 0
     return tuple(str(t) if isinstance(t, int) else _cut(t, start) for t in texts)
@@ -96,21 +95,6 @@ def _cut(text: str, start: int) -> str:
     """text from start, behind "..." unless start is 0, in at most 60 characters."""
     text = "..." + text[start:] if start else text
     return text if len(text) <= 60 else text[:57] + "..."
-
-
-def _mismatches(cases: Iterable[tuple[str, tuple, object, object]]) -> Iterator[str]:
-    """'where: got vs want' for each (template, values, got, want) case whose
-    sides differ, where being template.format(*values).  Only a case whose
-    sides differ has its label formatted."""
-    for template, values, got, want in cases:
-        if got != want:
-            yield f"{template.format(*values)}: " + " vs ".join(_shown(got, want))
-
-
-def _verdict(suite: str, identity: str, bounds: str, failures: Iterable[str]) -> IdentityResult:
-    """Failed with the first counterexample in failures, or passed if there is none."""
-    first = next(iter(failures), None)
-    return IdentityResult(suite, identity, bounds, first is None, first)
 
 
 # The suites' shared inputs: a spec per symbolic family, the scalar x, a uniform spec over x.
@@ -147,26 +131,33 @@ def _n_k_r(n_max: int, r_max: int) -> _Grid:
 
 
 def _compare(
-    suite: str, identity: str, grid: _Grid, got: Callable[..., object], want: Callable[..., object]
+    suite: str, identity: str, grid: _Grid, *sides: Callable[..., object]
 ) -> IdentityResult:
-    """identity's verdict: got(*point) against want(*point) at each point of
-    grid, a (template, bounds, points) triple, in order, with got first."""
+    """identity's verdict over grid, a (template, bounds, points) triple: the
+    sides are evaluated in order at each point, and the first point where a
+    later side differs from the first is the counterexample."""
     template, bounds, points = grid
-    cases = ((template, point, got(*point), want(*point)) for point in points)
-    return _verdict(suite, identity, bounds, _mismatches(cases))
+    for point in points:
+        values = []
+        for side in sides:
+            values.append(side(*point))
+        if values.count(values[0]) < len(values):
+            where = template.format(*point)
+            return IdentityResult(
+                suite, identity, bounds, False, f"{where}: " + " vs ".join(_shown(*values))
+            )
+    return IdentityResult(suite, identity, bounds, True)
 
 
 def _check_theorem1(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "ordered-partition totals: closed form vs factorial Bell sum vs series"
-    _, bounds, points = _ns(n_max)
-    expanded = gf_expand("lah-bell", n_max)
-    routes = ((n, lah_bell_number(n), complete_bell(n, FACTORIALS)) for (n,) in points)
-    failures = (
-        "n={}: closed={} bell={} series={}".format(n, closed, *_shown(bell, expanded[n]))
-        for n, closed, bell in routes
-        if bell != const(closed) or expanded[n] != const(closed)
-    )
-    return [_verdict("theorem1", identity, bounds, failures)]
+    expanded = functools.lru_cache(maxsize=1)(lambda: gf_expand("lah-bell", n_max))
+    return [_compare(
+        "theorem1", "ordered-partition totals: closed form vs factorial Bell sum vs series",
+        _ns(n_max),
+        lambda n: lah_bell_number(n),
+        lambda n: complete_bell(n, FACTORIALS),
+        lambda n: expanded()[n],
+    )]
 
 
 def _weights(*rules: tuple[str, int, Callable[[int], int]]) -> _PreparedMap:
@@ -208,16 +199,18 @@ def _check_theorem3(n_max: int, r_max: int) -> list[IdentityResult]:
 
 
 def _check_eq23(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "partial ordered-block polynomials are homogeneous of degree k"
     _, bounds, points = _n_k(n_max)
     scalings = {alpha: _weights(("x", n_max + 1, lambda i: alpha)) for alpha in range(-3, 4)}
-    cases = (
-        ("n={} k={} alpha={}", (n, k, alpha), base.substitute_all(scaling), base * alpha**k)
-        for n, k in points
-        for base in [incomplete_lah_bell(n, k, _SYMBOLIC["x"])]
-        for alpha, scaling in scalings.items()
+    grid = (
+        "n={} k={} alpha={}", f"{bounds}, alpha in -3..3",
+        ((n, k, alpha) for n, k in points for alpha in scalings),
     )
-    return [_verdict("eq23", identity, f"{bounds}, alpha in -3..3", _mismatches(cases))]
+    base = functools.lru_cache(maxsize=1)(lambda n, k: incomplete_lah_bell(n, k, _SYMBOLIC["x"]))
+    return [_compare(
+        "eq23", "partial ordered-block polynomials are homogeneous of degree k", grid,
+        lambda n, k, alpha: base(n, k).substitute_all(scalings[alpha]),
+        lambda n, k, alpha: base(n, k) * alpha**k,
+    )]
 
 
 def _check_eq28(n_max: int, r_max: int) -> list[IdentityResult]:
@@ -287,83 +280,60 @@ def _check_eq42(n_max: int, r_max: int) -> list[IdentityResult]:
 
 
 def _check_faadibruno(n_max: int, r_max: int) -> list[IdentityResult]:
-    identity = "series derivatives at 0 equal the factorial Bell values"
     top = max(n_max, 1)
-    reports = (faa_di_bruno_check(m) for m in range(1, top + 1))
-    failures = (
-        f"m={report.m}: series={report.series_value} partitions={report.partition_value}"
-        for report in reports
-        if not report.passed
-    )
-    return [_verdict("faadibruno", identity, f"1<=m<={top}", failures)]
+    return [_compare(
+        "faadibruno", "series derivatives at 0 equal the factorial Bell values",
+        ("m={}", f"1<=m<={top}", ((m,) for m in range(1, top + 1))),
+        lambda m: _series_derivative(m),
+        lambda m: complete_bell(m, FACTORIALS),
+    )]
 
 
 def _check_series_oracle(n_max: int, r_max: int) -> list[IdentityResult]:
-    suite = "series-oracle"
     _, bounds, _ = _n_k_r(n_max, r_max)
     a, b = _SYMBOLIC["a"], _SYMBOLIC["b"]
     sweeps = {"k": range(n_max + 1), "r": range(r_max + 1), "rho": range(2 * r_max + 1)}
     fixed = {"x": _X, "a": a, "b": b}
 
-    def compare(identity: str, family: str, want) -> IdentityResult:
-        """gf_expand(family) at each parameter point against want(n, *point) for n <= n_max."""
-        # The family's integer parameters are swept in GF_FAMILIES order, so k,
-        # declared first, varies slowest; x, a and b are the same at every point.
+    def expansion(family: str) -> tuple[_Grid, Callable[..., object]]:
+        """family's grid, its swept parameters slowest in GF_FAMILIES order
+        (so k, declared first, slowest of all) and n fastest, and the side
+        that reads entry n of gf_expand(family), expanded once per parameter
+        point; x, a and b are the same at every point."""
         swept = [name for name in GF_FAMILIES[family] if name in sweeps]
         given = {name: fixed[name] for name in GF_FAMILIES[family] if name in fixed}
-        template = " ".join(f"{name}={{}}" for name in ["n", *swept])
-        cases = (
-            (
-                template,
-                (n, *values),
-                got[n],
-                want(n, *values),
-            )
+        points = (
+            (n, *values)
             for values in itertools.product(*(sweeps[name] for name in swept))
-            for got in [gf_expand(family, n_max, **dict(zip(swept, values)), **given)]
             for n in range(n_max + 1)
         )
-        return _verdict(suite, identity, bounds, _mismatches(cases))
+        expanded = functools.lru_cache(maxsize=1)(
+            lambda *values: gf_expand(family, n_max, **dict(zip(swept, values)), **given)
+        )
+        template = " ".join(f"{name}={{}}" for name in ["n", *swept])
+        return (template, bounds, points), lambda n, *values: expanded(*values)[n]
 
     # The families share heads A^k/k! and exp(x A) and tails B^m across the
     # grid; inside the run's reuse scope gf_expand builds each of them once.
     # The scope keeps inputs only, never a compared value.
     return [
-        compare(
-            "triangle series match the closed forms",
-            "r-lah",
-            lambda n, k, r: const(rlah(n, k, r)),
-        ),
-        compare(
-            "row-total series match the closed forms",
-            "r-lah-bell",
-            lambda n, r: const(r_lah_bell_number(n, r)),
-        ),
-        compare(
-            "scalar-argument series match the row polynomials",
-            "r-lah-bell-poly",
-            lambda n, r: lah_bell_polynomial(n, r, _X),
-        ),
-        compare(
-            "generic ordinary series match the witness sums",
-            "incomplete-generic",
-            lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b),
-        ),
-        compare(
-            "generic complete series match the witness sums",
-            "complete-generic",
-            lambda n, r: complete_r_lah_bell(n, r, _X, a, b),
-        ),
-        compare(
-            "generic egf series match the fractional witness sums",
-            "incomplete-r-bell",
-            lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b),
-        ),
-        compare(
-            "complete egf series match the fractional witness sums",
-            "complete-r-bell",
-            lambda n, rho: complete_r_bell(n, rho, a, b),
-        ),
+        _compare("series-oracle", identity, *expansion(family), want)
+        for identity, family, want in [
+            ("triangle series match the closed forms", "r-lah",
+             lambda n, k, r: const(rlah(n, k, r))),
+            ("row-total series match the closed forms", "r-lah-bell",
+             lambda n, r: const(r_lah_bell_number(n, r))),
+            ("scalar-argument series match the row polynomials", "r-lah-bell-poly",
+             lambda n, r: lah_bell_polynomial(n, r, _X)),
+            ("generic ordinary series match the witness sums", "incomplete-generic",
+             lambda n, k, r: incomplete_r_lah_bell(n, k, r, a, b)),
+            ("generic complete series match the witness sums", "complete-generic",
+             lambda n, r: complete_r_lah_bell(n, r, _X, a, b)),
+            ("generic egf series match the fractional witness sums", "incomplete-r-bell",
+             lambda n, k, rho: incomplete_r_bell(n, k, rho, a, b)),
+            ("complete egf series match the fractional witness sums", "complete-r-bell",
+             lambda n, rho: complete_r_bell(n, rho, a, b)),
+        ]
     ]
 
 

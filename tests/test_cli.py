@@ -1,6 +1,7 @@
 """Command-line behaviour: golden output, formats, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -622,6 +623,26 @@ def test_package_form_prints_what_main_prints(capsys):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert (done.returncode, done.stdout) == (code, out.encode())
+
+
+def test_the_console_script_runs_the_cli(monkeypatch, capsys):
+    """pyproject's lahbell script, resolved from its entry as an installer
+    does, reads sys.argv, prints the command's output and exits with its
+    status: `lahbell verify --suite all` prints the golden that CI diffs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lahbell"]
+    module, _, name = entry.partition(":")
+    run = getattr(importlib.import_module(module), name)
+    for argv, code, out in [
+        (["value", "lah", "--n", "4", "--k", "2"], 0, "36\n"),
+        (["verify", "--suite", "all"], 0, (GOLDEN / "verify_all.txt").read_text()),
+        (["value", "lah", "--n", "4"], 2, ""),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["lahbell", *argv])
+        with pytest.raises(SystemExit) as exited:
+            run()
+        assert (exited.value.code, capsys.readouterr().out) == (code, out), argv
 
 
 def test_a_reader_closing_the_pipe_ends_the_command_quietly():

@@ -81,6 +81,10 @@ ENTRIES = [
         {"spec": ONES, "kind": "ordinary", "start": 1, "order": 3}, ("start", "order"),
     ),
     ("faa_di_bruno_check", faa_di_bruno_check, {"m": 2}, ("m",)),
+    (
+        "TruncatedSeries.egf_coefficient", from_sequence(ONES, "ordinary", 0, 3).egf_coefficient,
+        {"n": 2}, ("n",),
+    ),
     ("Variable", Variable, {"family": "x", "index": 2}, ("index",)),
 ]
 

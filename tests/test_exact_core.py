@@ -250,6 +250,9 @@ def test_recurrence_totals_equal_the_walked_totals(r):
     for n_max in (0, 1, 2, 300):
         want = [sum(_rlah_walk(n, r)) for n in range(n_max + 1)]
         assert list(_row_totals(n_max, r)) == want, (n_max, r)
+    # past n = 300 too, a row total against its walked row, one n at a time
+    for n in (500, 1000, 1500, 2000):
+        assert r_lah_bell_number(n, r) == sum(_rlah_walk(n, r)), (n, r)
 
 
 @pytest.mark.parametrize("r", range(5))

@@ -1,6 +1,7 @@
 """Verification harness semantics: registry, bounds, result shape, and that
 every identity reports a fault in each route it compares."""
 
+import itertools
 import re
 import sys
 from collections import Counter
@@ -142,10 +143,10 @@ SO_COMPLETE_EGF = "complete egf series match the fractional witness sums"
 # The analysis of the prepared weight maps that prop2, eq23 and eq30 apply
 # (poly._analyse) has a row in each, which puts every rescale off by one.
 FAULT_ROWS = [
-    _row(verify, "lah_bell_number", "theorem1", T1, "n=0: closed=2 bell=1 series=1"),
-    _row(verify, "complete_bell", "theorem1", T1, "n=0: closed=1 bell=2 series=1"),
-    _row(series, "exp", "theorem1", T1, "n=0: closed=1 bell=1 series=2"),
-    _row(series, "_int_exp", "theorem1", T1, "n=0: closed=1 bell=1 series=2"),
+    _row(verify, "lah_bell_number", "theorem1", T1, "n=0: 2 vs 1 vs 1"),
+    _row(verify, "complete_bell", "theorem1", T1, "n=0: 1 vs 2 vs 1"),
+    _row(series, "exp", "theorem1", T1, "n=0: 1 vs 1 vs 2"),
+    _row(series, "_int_exp", "theorem1", T1, "n=0: 1 vs 1 vs 2"),
     _row(verify, "incomplete_lah_bell", "prop2", P2_POLY, "n=0 k=0: 2 vs 1"),
     _row(verify, "incomplete_bell", "prop2", P2_POLY, "n=0 k=0: 1 vs 2"),
     _row(verify, "lah_via_pi", "prop2", P2_TRIANGLE, "n=0 k=0: 2 vs 1"),
@@ -177,8 +178,8 @@ FAULT_ROWS = [
     _row(verify, "complete_r_lah_bell", "theorem7", T7, "n=0 r=0: 1 vs 2"),
     _row(verify, "incomplete_r_lah_bell", "eq42", EQ42, "n=0 r=0: 2 vs 1"),
     _row(verify, "lah_bell_polynomial", "eq42", EQ42, "n=0 r=0: 1 vs 2"),
-    _row(series, "exp", "faadibruno", FDB, "m=1: series=2 partitions=1"),
-    _row(series, "complete_bell", "faadibruno", FDB, "m=1: series=1 partitions=2"),
+    _row(series, "exp", "faadibruno", FDB, "m=1: 2 vs 1"),
+    _row(verify, "complete_bell", "faadibruno", FDB, "m=1: 1 vs 2"),
     _row(
         verify, "gf_expand", "series-oracle", SO_TRIANGLE, "n=0 k=0 r=0: 2 vs 1",
         only=_family("r-lah"),
@@ -279,14 +280,23 @@ def test_shown_cuts_both_sides_from_the_same_start():
 
 
 def test_a_label_is_formatted_only_for_a_counterexample():
-    """A case carries its label as a template and values; a template that
-    raises when formatted passes unread while the sides are equal."""
+    """_compare formats a point's label from the grid's template only for a
+    counterexample: a template that raises when formatted passes unread
+    while the sides agree, with two sides or with three."""
     unformattable = "n={} k={}"  # two fields, one value: format raises IndexError
-    equal = [(unformattable, (1,), const(3), 3), (unformattable, (2,), var("x1"), var("x1"))]
-    assert list(verify._mismatches(equal)) == []
-    with pytest.raises(IndexError):
-        list(verify._mismatches([*equal, (unformattable, (3,), 1, 2)]))
-    assert list(verify._mismatches([("n={} k={}", (3, 1), 5, 6)])) == ["n=3 k=1: 5 vs 6"]
+    two = (lambda n: const(n), lambda n: n + (n == 3))
+    three = (lambda n: const(n), lambda n: n + (n == 3), lambda n: var("x1") if n == 3 else n)
+    for sides in (two, three):
+        grid = (unformattable, "n<=2", [(1,), (2,)])
+        assert verify._compare("s", "i", grid, *sides) == IdentityResult("s", "i", "n<=2", True)
+        with pytest.raises(IndexError):
+            verify._compare("s", "i", (unformattable, "n<=3", [(1,), (2,), (3,)]), *sides)
+    grid = ("n={}", "n<=3", [(2,), (3,)])
+    assert verify._compare("s", "i", grid, *two).counterexample == "n=3: 3 vs 4"
+    assert verify._compare("s", "i", grid, *three).counterexample == "n=3: 3 vs 4 vs x1"
+    # a later side that differs from the first fails the point on its own
+    last = (lambda n: n, lambda n: n, lambda n: n + (n == 3))
+    assert verify._compare("s", "i", grid, *last).counterexample == "n=3: 3 vs 3 vs 4"
 
 
 def test_a_verify_run_makes_no_sequence_spec(monkeypatch):
@@ -373,8 +383,11 @@ def test_a_verify_run_builds_no_monomial(monkeypatch):
 
 def _entered(side, points):
     """The code objects of lahbell, outside verify, that side(*point) enters
-    over points, traced on its own in a fresh reuse scope."""
+    over points, traced on its own in a fresh reuse scope and with the
+    one-entry caches its closure reads emptied first."""
     package, own = str(Path(verify.__file__).parent), verify.__file__
+    for cell in side.__closure__ or ():
+        getattr(cell.cell_contents, "cache_clear", lambda: None)()
     entered = set()
 
     def profile(frame, event, arg):
@@ -393,27 +406,58 @@ def _entered(side, points):
 
 
 def test_the_two_sides_of_an_identity_never_enter_the_same_functions(monkeypatch):
-    """A route guard: each two-sided identity's sides, traced apart, enter
-    different sets of library functions, so no identity compares a
-    computation with itself."""
+    """A route guard: every identity of a run is one _compare call, and each
+    pair of its sides, traced apart, enters different sets of library
+    functions, so no identity compares a computation with itself."""
+    identities = [(item.suite, item.identity) for item in run_suites("all", 0, 0)]
     declared = []
     compare = verify._compare
 
-    def captured(suite, identity, grid, got, want):
+    def captured(suite, identity, grid, *sides):
         template, bounds, points = grid
         points = list(points)
-        declared.append((suite, identity, points, got, want))
-        return compare(suite, identity, (template, bounds, points), got, want)
+        declared.append((suite, identity, points, sides))
+        return compare(suite, identity, (template, bounds, points), *sides)
 
     monkeypatch.setattr(verify, "_compare", captured)
     assert all(item.passed for item in run_suites("all", 4, 1))
-    assert [suite for suite, *_ in declared] == [
-        "prop2", "prop2", "theorem3", "eq28", "eq30", "theorem4", "theorem5", "corollary6",
-        "theorem7", "eq42",
-    ]
-    for suite, identity, points, got, want in declared:
+    assert [(suite, identity) for suite, identity, *_ in declared] == identities
+    assert len(identities) == 20
+    for suite, identity, points, sides in declared:
         assert points, identity
-        assert _entered(got, points) != _entered(want, points), identity
+        entered = [_entered(side, points) for side in sides]
+        for (i, one), (j, other) in itertools.combinations(enumerate(entered), 2):
+            assert one != other, (identity, i, j)
+
+
+def test_each_shared_value_is_built_once(monkeypatch):
+    """theorem1's series, each series-oracle expansion and each eq23 base
+    polynomial come from a one-entry cache, and their grids vary the
+    parameters they depend on slowest, so each is built once.  Dropping a
+    cache, or a grid where n no longer varies fastest, fails here."""
+    expansions, bases = Counter(), Counter()
+    expand, base = verify.gf_expand, verify.incomplete_lah_bell
+
+    def counted_expand(family, *args, **kwargs):
+        expansions[family] += 1
+        return expand(family, *args, **kwargs)
+
+    def counted_base(n, k, xs):
+        bases[n, k] += 1
+        return base(n, k, xs)
+
+    monkeypatch.setattr(verify, "gf_expand", counted_expand)
+    monkeypatch.setattr(verify, "incomplete_lah_bell", counted_base)
+    assert all(item.passed for item in run_suites("theorem1", 6, 1))
+    assert expansions == Counter({"lah-bell": 1})
+    expansions.clear()
+    assert all(item.passed for item in run_suites("series-oracle", 6, 1))
+    assert expansions == Counter({
+        "r-lah": 14, "r-lah-bell": 2, "r-lah-bell-poly": 2, "incomplete-generic": 14,
+        "complete-generic": 2, "incomplete-r-bell": 21, "complete-r-bell": 3,
+    })
+    assert all(item.passed for item in run_suites("eq23", 6, 1))
+    assert len(bases) == 28 and set(bases.values()) == {1}
 
 
 def test_a_suite_run_alone_gives_what_the_whole_run_gives_for_it():
@@ -578,7 +622,7 @@ def test_a_wrong_row_total_fails_theorem1_and_the_series_row_totals(monkeypatch)
         (item.identity, item.counterexample) for item in run_suites("all", 12, 2) if not item.passed
     ]
     assert failed == [
-        (T1, "n=9: closed=4596554 bell=4596553 series=4596553"),
+        (T1, "n=9: 4596554 vs 4596553 vs 4596553"),
         (SO_ROWS, "n=9 r=0: 4596553 vs 4596554"),
     ]
 
